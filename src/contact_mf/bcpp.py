@@ -21,6 +21,7 @@ The exponential is multiplicative over time splits, so laziness is exact.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from math import exp
@@ -39,6 +40,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+
+@functools.lru_cache(maxsize=8)
+def _neighbor_lists(torus: Torus) -> list[list[int]]:  # shared by fields: read-only
+    return torus.neighbor_index_table().tolist()
 
 
 class BcppField:
@@ -61,7 +67,7 @@ class BcppField:
         self.last: list[float] = [0.0] * n
         self.time = 0.0
         self.support: set[int] = set(range(n))
-        self._nbrs: list[list[int]] = torus.neighbor_index_table().tolist()
+        self._nbrs = _neighbor_lists(torus)
         self._decay = 1.0 - lam
         self._deg = 2 * torus.dimension
         self._underflow_count = 0

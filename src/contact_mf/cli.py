@@ -93,11 +93,13 @@ def _fmt(key: str, value) -> str:
 
 
 def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
-    """Write rows to --out (or echo a table to stdout) in csv or json."""
-    fmt = args.format
+    """Write rows to --out (via a renamed temp file, never half-written) or
+    echo a table to stdout, in csv or json."""
+    fmt = args.format or "csv"
     if args.out:
+        tmp = f"{args.out}.{os.getpid()}.tmp"
         try:
-            with open(args.out, "w") as fh:
+            with open(tmp, "w") as fh:
                 if fmt == "json":
                     json.dump(rows, fh, indent=2)
                     fh.write("\n")
@@ -106,7 +108,10 @@ def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
                     fh.write(",".join(columns) + "\n")
                     for row in rows:
                         fh.write(",".join(_fmt(c, row[c]) for c in columns) + "\n")
-        except OSError:
+            os.replace(tmp, args.out)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
             raise
         print(f"wrote {len(rows)} row(s) to {args.out}")
     else:
@@ -128,8 +133,6 @@ def _load_section(path: str, section: str) -> dict:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise UsageError(f"bad config file {path}: {exc}")
     return dict(parser[section]) if parser.has_section(section) else {}
@@ -147,6 +150,8 @@ def _fill_from_config(args: argparse.Namespace, overrides: dict) -> None:
                 setattr(args, attr, spec(raw))
             except ValueError:
                 raise UsageError(f"bad config value {key} = {raw!r}")
+    if args.format not in (None, "csv", "json"):
+        raise UsageError(f"bad config value format = {args.format!r}; use csv or json")
 
 
 def _resolve_seed(args) -> int:
@@ -500,9 +505,9 @@ def cmd_campaign(args) -> int:
             raise UsageError(f"config section [{section}] is not a subcommand")
         print(f"== {section} ==")
         sub_args = _parse([section])
+        # --seed first, so the config's seed only fills in when the flag is absent
+        sub_args.seed = args.seed
         _fill_from_config(args=sub_args, overrides=dict(parser[section]))
-        if sub_args.seed is None:
-            sub_args.seed = args.seed
         code = _HANDLERS[section](sub_args)
         worst = max(worst, code)
     return worst
@@ -516,8 +521,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="master seed (fallback: config, then CONTACT_MF_SEED, then 0)")
     p.add_argument("--out", default=None, help="output file path (default: stdout table)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="output format for --out")
+    p.add_argument("--format", choices=("csv", "json"), default=None,
+                   help="output format for --out (default csv)")
     p.add_argument("--config", default=None,
                    help="INI-style config; section [<subcommand>] supplies defaults")
     p.add_argument("--jobs", type=int, default=None,

@@ -8,12 +8,13 @@ infinite lattice.
 Hyperoctahedrally-symmetric functions (hitting probabilities,
 pair-correlation fields) are stored per canonical class: the
 nonincreasing sequence of absolute coordinate values, one representative
-per symmetry orbit.  `canonical_classes` / `class_neighbor_table`
-build the reduced state space and its adjacency.
+per symmetry orbit.  `class_neighbor_table` builds the reduced state
+space and its adjacency once per process; the cached table is read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -63,17 +64,13 @@ class Torus:
         """(volume, 2d) array: row i lists the flat indices of vertex i's
         neighbors (+axis then -axis per dimension). Used by flat-array
         simulations (bcpp) to avoid tuple arithmetic in hot loops."""
-        n, L, d = self.volume, self.side, self.dimension
-        table = np.empty((n, 2 * d), dtype=np.int64)
-        strides = [L ** (d - 1 - ax) for ax in range(d)]
-        for i in range(n):
-            v = self.vertex(i)
-            for ax in range(d):
-                up = i + strides[ax] * ((v[ax] + 1) % L - v[ax])
-                dn = i + strides[ax] * ((v[ax] - 1) % L - v[ax])
-                table[i, 2 * ax] = up
-                table[i, 2 * ax + 1] = dn
-        return table
+        ids = np.arange(self.volume, dtype=np.int64).reshape((self.side,) * self.dimension)
+        cols = [
+            np.roll(ids, shift, axis=ax).ravel()
+            for ax in range(self.dimension)
+            for shift in (-1, 1)
+        ]
+        return np.stack(cols, axis=1)
 
 
 def origin(d: int) -> Vertex:
@@ -126,14 +123,10 @@ def canonicalize(v: Vertex) -> Vertex:
 
 def canonical_classes(d: int, max_coord: int) -> list[Vertex]:
     """All canonical classes with sup-norm <= max_coord, in sorted order."""
-    classes = [
-        tuple(reversed(combo))
-        for combo in combinations_with_replacement(range(max_coord + 1), d)
-    ]
-    classes.sort()
-    return classes
+    return list(class_neighbor_table(d, max_coord)[0])
 
 
+@functools.lru_cache(maxsize=16)
 def class_neighbor_table(
     d: int, max_coord: int
 ) -> tuple[list[Vertex], dict[Vertex, int], np.ndarray]:
@@ -142,16 +135,23 @@ def class_neighbor_table(
     Returns (classes, index, nbr) where nbr[i] lists the class indices of
     the 2d lattice neighbors of class i's representative; a class reached
     twice appears twice (that IS its multiplicity for symmetric functions);
-    neighbors with sup-norm > max_coord are marked -1.
+    neighbors with sup-norm > max_coord are marked -1.  Cached and shared:
+    treat all three as read-only (nbr is flagged so).  Keys are digits in
+    radix max_coord + 2, which sort lexicographically and cover moved copies.
     """
-    classes = canonical_classes(d, max_coord)
-    index = {c: i for i, c in enumerate(classes)}
-    nbr = np.empty((len(classes), 2 * d), dtype=np.int64)
-    for i, rep in enumerate(classes):
-        col = 0
-        for ax in range(d):
-            for sign in (1, -1):
-                moved = canonicalize(rep[:ax] + (rep[ax] + sign,) + rep[ax + 1 :])
-                nbr[i, col] = index.get(moved, -1)
-                col += 1
-    return classes, index, nbr
+    radix = max_coord + 2
+    dtype = np.int64 if radix**d < 2**63 else object  # object: exact big keys
+    reps = np.array(list(combinations_with_replacement(range(max_coord + 1), d)))[:, ::-1]
+    weights = np.array([radix**k for k in range(d - 1, -1, -1)], dtype=dtype)
+    keys = reps.astype(dtype) @ weights
+    order = np.argsort(keys)
+    reps, keys = reps[order], keys[order]
+    eye = np.eye(d, dtype=reps.dtype)
+    nbr = np.empty((len(reps), 2 * d), dtype=np.int64)
+    for col in range(2 * d):
+        moved = -np.sort(-np.abs(reps + (1 - 2 * (col & 1)) * eye[col >> 1]), axis=1)
+        found = np.searchsorted(keys, moved.astype(dtype) @ weights)
+        nbr[:, col] = np.where(moved[:, 0] > max_coord, -1, found)
+    nbr.setflags(write=False)
+    classes = list(map(tuple, reps.tolist()))
+    return classes, {c: i for i, c in enumerate(classes)}, nbr

@@ -72,7 +72,8 @@ class CorrelationGenerator:
         self._nbr_idx = np.where(nbr < 0, self.n, nbr)
         self.o = index[origin(d)]
         self.e1 = index[unit_vector(d)]
-        self._sup = np.fromiter((max(c) for c in classes), dtype=np.int64, count=self.n)
+        # canonical classes are nonincreasing, so the sup-norm is the first entry
+        self._sup = np.asarray(classes, dtype=np.int64).reshape(self.n, d)[:, 0]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if vec.shape != (self.n,):
@@ -85,7 +86,8 @@ class CorrelationGenerator:
     def matched_hitting(self, tol: float = 1e-10) -> np.ndarray:
         """Dirichlet h on the same classes with the same absorbing radius."""
         classes, h = _absorbing_solve(self.d, self.radius, tol)
-        assert classes == self.classes
+        if classes != self.classes:
+            raise InvariantViolation("Dirichlet solve and generator disagree on class order")
         return h
 
 

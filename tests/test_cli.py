@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from contact_mf import analytics
+from contact_mf import analytics, cli
 from contact_mf.cli import SURVIVAL_COLUMNS, ResultRow, main
 
 _CSV_INTS = {"d", "n_censored", "K_used", "seed"}
@@ -265,6 +265,61 @@ def test_campaign_seed_flows_into_sections(tmp_path, capsys):
     via_campaign = capsys.readouterr().out.splitlines()
     assert via_campaign[0] == "== hitting =="
     assert via_campaign[1:] == direct
+
+
+def test_campaign_seed_flag_beats_config_seed(tmp_path, capsys):
+    cfg = tmp_path / "hit.ini"
+    cfg.write_text(
+        "[hitting]\nd = 4\nmethod = monte-carlo\nwalks = 2000\nmax-steps = 200\nseed = 3\n"
+    )
+    assert main(_SMALL_HITTING + ["--seed", "7"]) == 0
+    direct = capsys.readouterr().out.splitlines()
+    assert main(_SMALL_HITTING + ["--seed", "3"]) == 0
+    config_seed = capsys.readouterr().out.splitlines()
+    assert direct != config_seed
+    assert main(["campaign", "--config", str(cfg), "--seed", "7"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == direct
+    # without the flag the section's own seed applies
+    assert main(["campaign", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == config_seed
+
+
+def test_campaign_section_honours_json_format(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    cfg = tmp_path / "hit.ini"
+    cfg.write_text(
+        "[hitting]\nd = 3\nmethod = harmonic-solve\nradius = 6\n"
+        f"out = {out}\nformat = json\n"
+    )
+    assert main(["campaign", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())
+    assert rows[0]["method"] == "harmonic-solve"
+    assert 0.0 < rows[0]["bracket_low"] <= rows[0]["bracket_high"] <= 1.0
+
+
+def test_unknown_config_format_exits_2(tmp_path):
+    cfg = tmp_path / "ode.ini"
+    cfg.write_text("[ode]\nt-end = 1.0\nformat = xml\n")
+    assert main(["ode", "--config", str(cfg)]) == 2
+
+
+def test_failed_write_keeps_previous_out_file(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "ode.csv"
+    out.write_text("previous contents\n")
+    calls = []
+
+    def failing_fmt(key, value):
+        calls.append(key)
+        if len(calls) > 5:
+            raise RuntimeError("simulated crash mid-write")
+        return str(value)
+
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+    with pytest.raises(RuntimeError):
+        main(["ode", "--t-end", "1.0", "--out", str(out)])
+    assert out.read_text() == "previous contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["ode.csv"]
 
 
 # ---------------------------------------------------------------------------

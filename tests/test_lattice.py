@@ -1,5 +1,6 @@
 """Geometry: neighbors, torus wrap, symmetry classes and their adjacency."""
 
+import itertools
 import math
 import random
 
@@ -91,6 +92,55 @@ def test_class_neighbor_table_multiplicity():
     for j, cls in zip(row_edge, [(5, 0), (3, 0), (4, 1), (4, 1)]):
         if j >= 0:
             assert classes[j] == cls
+
+
+def _reference_class_table(d, m):
+    """The plain nested-loop construction the vectorized table must match."""
+    classes = sorted(
+        tuple(reversed(combo))
+        for combo in itertools.combinations_with_replacement(range(m + 1), d)
+    )
+    index = {c: i for i, c in enumerate(classes)}
+    nbr = np.empty((len(classes), 2 * d), dtype=np.int64)
+    for i, rep in enumerate(classes):
+        for ax in range(d):
+            for col, sign in ((2 * ax, 1), (2 * ax + 1, -1)):
+                moved = canonicalize(rep[:ax] + (rep[ax] + sign,) + rep[ax + 1 :])
+                nbr[i, col] = index.get(moved, -1)
+    return classes, index, nbr
+
+
+@pytest.mark.parametrize(
+    "d, m", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 5), (3, 4), (4, 3), (6, 9), (40, 1)]
+)
+def test_class_neighbor_table_matches_nested_loop_reference(d, m):
+    classes, index, nbr = class_neighbor_table(d, m)
+    ref_classes, ref_index, ref_nbr = _reference_class_table(d, m)
+    assert classes == ref_classes
+    assert index == ref_index
+    assert nbr.dtype == ref_nbr.dtype
+    assert np.array_equal(nbr, ref_nbr)
+
+
+def test_class_neighbor_table_is_cached_and_read_only():
+    first = class_neighbor_table(3, 4)
+    assert class_neighbor_table(3, 4) is first
+    with pytest.raises(ValueError):
+        first[2][0, 0] = 0
+
+
+@pytest.mark.parametrize("d, side", [(2, 8), (3, 4), (1, 6)])
+def test_neighbor_index_table_matches_loop_reference(d, side):
+    t = Torus(d, side)
+    ref = np.empty((t.volume, 2 * d), dtype=np.int64)
+    for i in range(t.volume):
+        v = t.vertex(i)
+        for ax in range(d):
+            for col, sign in ((2 * ax, 1), (2 * ax + 1, -1)):
+                ref[i, col] = t.index(v[:ax] + (v[ax] + sign,) + v[ax + 1 :])
+    table = t.neighbor_index_table()
+    assert table.dtype == ref.dtype
+    assert np.array_equal(table, ref)
 
 
 def test_class_neighbor_table_row_degree():

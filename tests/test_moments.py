@@ -12,6 +12,7 @@ from contact_mf.moments import (
     stationary_residual,
     verify_stationary,
 )
+from contact_mf.walk import _absorbing_solve, hitting_harmonic
 
 
 def test_generator_row_sums_on_constant_field():
@@ -136,3 +137,18 @@ def test_pair_bound_refuses_vacuous_offset_domain():
     # so no finite envelope exists and the check must refuse loudly
     with pytest.raises(NumericalError):
         second_moment_bound_check(2.0, 3, radius=8, t=1.0, max_set_size=2)
+
+
+def test_dirichlet_solve_runs_once_per_radius_across_callers():
+    _absorbing_solve.cache_clear()
+    _, est = hitting_harmonic(6, 10)
+    assert _absorbing_solve.cache_info().misses == 2    # radius 10 and 10 // 2
+    gen = CorrelationGenerator(2.0, 6, 10)
+    h = gen.matched_hitting()
+    info = _absorbing_solve.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert h[gen.e1] == est.h
+    # keyword and default spellings of the same solve share its entry
+    _absorbing_solve(d=6, radius=10, max_sweeps=100_000)
+    _absorbing_solve(6, 10, tol=1e-10)
+    assert _absorbing_solve.cache_info().misses == 2
