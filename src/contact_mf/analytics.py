@@ -192,10 +192,12 @@ def survival_sandwich(
 
 
 def threshold_error_bound(lam: float, threshold: int) -> float:
-    """Misclassification bound for the size-threshold survival surrogate:
-    from size n the dominating walk dies with probability (1/lam)^n, so a
+    """Misclassification floor for the size-threshold survival surrogate:
+    from size n the dominating walk dies with probability (1/lam)^n, and
+    the contact process, being smaller, dies at least as often, so a
     trial that reached `threshold` is a false survivor with probability
-    at most (1/lam)^threshold (lam > 1; trivial bound 1 otherwise)."""
+    at least (1/lam)^threshold (lam > 1; 1 otherwise, where every
+    process dies).  It is not an upper bound on that rate."""
     if lam <= 1.0:
         return 1.0
     try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from math import exp
+from math import exp, log
 
 import numpy as np
 
@@ -95,27 +95,23 @@ class BcppField:
             )
 
     def step(self, rng) -> tuple[int, int | None]:
-        """Apply one event; returns (site, source) with source None on zeroing."""
+        """Apply one event; returns (site, source) with source None on zeroing.
+
+        The one-event form of run_until's loop, drawing the same numbers in
+        the same order: the site's value drops to 0, or becomes its value
+        plus the source's, both read at the event time.
+        """
         n = len(self.values)
-        self.time += rng.expovariate(n * (1.0 + self.lam))
+        t = self.time = self.time + rng.expovariate(n * (1.0 + self.lam))
+        values = self.values
         x = rng.randrange(n)
         if rng.random() * (1.0 + self.lam) < 1.0:
-            self._zero(x)
+            if values[x] > 0.0:
+                values[x] = 0.0
+                self.support.discard(x)
             return x, None
         y = self._nbrs[x][rng.randrange(self._deg)]
-        self._absorb(x, y)
-        return x, y
-
-    def _zero(self, x: int) -> None:
-        if self.values[x] > 0.0:
-            self.values[x] = 0.0
-            self.support.discard(x)
-
-    def _absorb(self, x: int, y: int) -> None:
-        """x's value becomes value(x) + value(y), read at the current time."""
-        t = self.time
         dr = self._decay
-        values = self.values
         last = self.last
         vx = values[x]
         if vx > 0.0:
@@ -134,6 +130,7 @@ class BcppField:
                 self.support.discard(x)
             if vx > 0.0 or vy > 0.0:
                 self._note_underflow()
+        return x, y
 
     def run_until(self, t_end: float, rng) -> None:
         """Advance to exactly t_end (events after it are not drawn).
@@ -152,23 +149,30 @@ class BcppField:
         last = self.last
         support = self.support
         nbrs = self._nbrs
-        expo = rng.expovariate
+        # rng.expovariate and rng.randrange inlined, as in contact.run_trial
         uni = rng.random
-        rr = rng.randrange
+        bits = rng.getrandbits
+        n_bits = n.bit_length()
+        deg_bits = deg.bit_length()
         t = self.time
         while True:
-            dt = expo(rate)
+            dt = -log(1.0 - uni()) / rate
             if t + dt > t_end:
                 self.time = t_end
                 return
             t += dt
-            x = rr(n)
+            x = bits(n_bits)
+            while x >= n:
+                x = bits(n_bits)
             if uni() * lam1 < 1.0:
                 if values[x] > 0.0:
                     values[x] = 0.0
                     support.discard(x)
             else:
-                y = nbrs[x][rr(deg)]
+                k = bits(deg_bits)
+                while k >= deg:
+                    k = bits(deg_bits)
+                y = nbrs[x][k]
                 vx = values[x]
                 if vx > 0.0:
                     vx *= exp(dr * (t - last[x]))
@@ -192,42 +196,52 @@ class BcppField:
 def run_coupled(lam: float, torus: Torus, horizon: float, rng) -> int:
     """Drive the field and a contact-process set off one event stream.
 
-    After every single event the field's strictly-positive support must
-    equal the infected set; any mismatch raises InvariantViolation.
-    Returns the number of events processed.
+    Each field.step event is replayed on the infected set: a zeroing is a
+    recovery, an absorption copies the source's infection.  After every
+    single event the field's strictly-positive support must equal the
+    infected set; any mismatch raises InvariantViolation.  Returns the
+    number of events up to the horizon (the first event past it is drawn
+    but neither counted nor checked).
     """
     if horizon <= 0:
         raise UsageError(f"horizon must be positive, got {horizon}")
     field = BcppField(torus, lam)
-    n = torus.volume
-    infected = set(range(n))
-    rate = n * (1.0 + lam)
+    infected = set(field.support)
     events = 0
-    t = 0.0
     while True:
-        dt = rng.expovariate(rate)
-        if t + dt > horizon:
+        x, y = field.step(rng)
+        if field.time > horizon:
             return events
-        t += dt
-        field.time = t
-        x = rng.randrange(n)
-        if rng.random() * (1.0 + lam) < 1.0:
-            field._zero(x)
-            infected.discard(x)
-        else:
-            y = field._nbrs[x][rng.randrange(field._deg)]
-            field._absorb(x, y)
-            if y in infected:
-                infected.add(x)
         events += 1
+        if y is None:
+            infected.discard(x)
+        elif y in infected:
+            infected.add(x)
         if infected != field.support:
             missing = infected - field.support
             extra = field.support - infected
             raise InvariantViolation(
-                f"support mismatch after event {events} at t={t:.6g}: "
+                f"support mismatch after event {events} at t={field.time:.6g}: "
                 f"infected-without-value {sorted(missing)[:5]}, "
                 f"value-without-infection {sorted(extra)[:5]}"
             )
+
+
+def _mean_rows(keys, trial_values, n_trials: int) -> list[tuple]:
+    """(key, mean, std_err) per key over trials 0..n_trials-1, where
+    trial_values(trial) gives that trial's values, one per key in order."""
+    sums = [0.0] * len(keys)
+    sumsq = [0.0] * len(keys)
+    for trial in range(n_trials):
+        for j, v in enumerate(trial_values(trial)):
+            sums[j] += v
+            sumsq[j] += v * v
+    rows = []
+    for key, total, total_sq in zip(keys, sums, sumsq):
+        mean = total / n_trials
+        var = max(0.0, (total_sq - n_trials * mean * mean) / (n_trials - 1))
+        rows.append((key, mean, math.sqrt(var / n_trials)))
+    return rows
 
 
 def first_moment_check(
@@ -250,22 +264,15 @@ def first_moment_check(
     if not checkpoints or checkpoints[0] < 0:
         raise UsageError(f"checkpoint times must be >= 0, got {times!r}")
     o = torus.index(origin(torus.dimension))
-    sums = [0.0] * len(checkpoints)
-    sumsq = [0.0] * len(checkpoints)
-    for trial in range(n_trials):
+
+    def trial_values(trial):
         rng = substream(seed, "first-moment", trial)
         field = BcppField(torus, lam)
-        for j, cp in enumerate(checkpoints):
+        for cp in checkpoints:
             field.run_until(cp, rng)
-            v = field.value_at(o)
-            sums[j] += v
-            sumsq[j] += v * v
-    rows = []
-    for j, cp in enumerate(checkpoints):
-        mean = sums[j] / n_trials
-        var = max(0.0, (sumsq[j] - n_trials * mean * mean) / (n_trials - 1))
-        rows.append((cp, mean, math.sqrt(var / n_trials)))
-    return rows
+            yield field.value_at(o)
+
+    return _mean_rows(checkpoints, trial_values, n_trials)
 
 
 def pair_moment_mc(
@@ -299,20 +306,11 @@ def pair_moment_mc(
             shifted = tuple((v[k] + u[k]) % side for k in range(d))
             perm[i] = torus.index(shifted)
         perms.append(perm)
-    sums = [0.0] * len(perms)
-    sumsq = [0.0] * len(perms)
-    for trial in range(n_trials):
-        rng = substream(seed, "pair-moment", trial)
+
+    def trial_values(trial):
         field = BcppField(torus, lam)
-        field.run_until(t, rng)
+        field.run_until(t, substream(seed, "pair-moment", trial))
         arr = field.values_array()
-        for j, perm in enumerate(perms):
-            est = float((arr * arr[perm]).mean())
-            sums[j] += est
-            sumsq[j] += est * est
-    rows = []
-    for j, u in enumerate(offsets):
-        mean = sums[j] / n_trials
-        var = max(0.0, (sumsq[j] - n_trials * mean * mean) / (n_trials - 1))
-        rows.append((tuple(u), mean, math.sqrt(var / n_trials)))
-    return rows
+        return [float((arr * arr[perm]).mean()) for perm in perms]
+
+    return _mean_rows([tuple(u) for u in offsets], trial_values, n_trials)

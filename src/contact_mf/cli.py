@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from . import analytics, bcpp, contact, moments, walk
 from .errors import InvariantViolation, NumericalError, UsageError
@@ -53,29 +53,11 @@ class ResultRow:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "d": self.d,
-            "p_hat": self.p_hat,
-            "std_err": self.std_err,
-            "n_censored": self.n_censored,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "griffeath_bound": self.griffeath_bound,
-            "H_estimate": self.H_estimate,
-            "K_used": self.K_used,
-            "seed": self.seed,
-        }
+        return dict(zip(SURVIVAL_COLUMNS, astuple(self)))
 
     @classmethod
     def from_dict(cls, row: dict) -> "ResultRow":
-        return cls(
-            lam=row["lambda"], d=row["d"], p_hat=row["p_hat"],
-            std_err=row["std_err"], n_censored=row["n_censored"],
-            lower_bound=row["lower_bound"], upper_bound=row["upper_bound"],
-            griffeath_bound=row["griffeath_bound"], H_estimate=row["H_estimate"],
-            K_used=row["K_used"], seed=row["seed"],
-        )
+        return cls(*(row[c] for c in SURVIVAL_COLUMNS))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +475,11 @@ _HANDLERS = {
 def cmd_campaign(args) -> int:
     if not args.config:
         raise UsageError("campaign requires --config with one section per subcommand")
+    if args.out is not None or args.format is not None:
+        raise UsageError(
+            "campaign takes no --out or --format: one file cannot hold several "
+            "sections, so set out and format inside each section"
+        )
     parser = configparser.ConfigParser()
     try:
         with open(args.config) as fh:
@@ -505,8 +492,9 @@ def cmd_campaign(args) -> int:
             raise UsageError(f"config section [{section}] is not a subcommand")
         print(f"== {section} ==")
         sub_args = _parse([section])
-        # --seed first, so the config's seed only fills in when the flag is absent
+        # flags first, so the config's seed and jobs only fill in when absent
         sub_args.seed = args.seed
+        sub_args.jobs = args.jobs
         _fill_from_config(args=sub_args, overrides=dict(parser[section]))
         code = _HANDLERS[section](sub_args)
         worst = max(worst, code)

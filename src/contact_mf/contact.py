@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log
 
 from .analytics import threshold_error_bound
-from .errors import InvariantViolation, UsageError
+from .errors import UsageError
 from .lattice import Torus, Vertex, origin
 from .rng import substream
 
@@ -34,7 +35,6 @@ __all__ = [
     "SampleSet",
     "TrialOutcome",
     "SurvivalEstimate",
-    "step",
     "run_trial",
     "run_to_time",
     "estimate_survival",
@@ -120,38 +120,6 @@ class SampleSet:
         return set(self.items)
 
 
-def _attempt_infection(state: SampleSet, params: ContactParams, rng) -> None:
-    """One infection attempt: uniform infected source, uniform neighbor."""
-    x = state.choose(rng)
-    k = rng.randrange(2 * params.d)
-    axis = k >> 1
-    delta = 1 - 2 * (k & 1)
-    geo = params.geometry
-    if geo is None:
-        y = x[:axis] + (x[axis] + delta,) + x[axis + 1:]
-    else:
-        y = x[:axis] + ((x[axis] + delta) % geo.side,) + x[axis + 1:]
-    state.add(y)
-
-
-def step(state: SampleSet, params: ContactParams, rng) -> float:
-    """Advance the configuration by one event, in place.
-
-    Returns the exponential waiting time that elapsed.  Raising on an
-    empty configuration (rate zero, no event can ever fire) beats
-    silently returning infinity.
-    """
-    n = len(state)
-    if n == 0:
-        raise UsageError("step called on an empty configuration")
-    elapsed = rng.expovariate(n * (1.0 + params.lam))
-    if rng.random() * (1.0 + params.lam) < 1.0:
-        state.discard(state.choose(rng))
-    else:
-        _attempt_infection(state, params, rng)
-    return elapsed
-
-
 @dataclass(frozen=True)
 class TrialOutcome:
     verdict: str                    # EXTINCT | REACHED_THRESHOLD | CENSORED
@@ -169,24 +137,26 @@ def run_trial(
 ) -> TrialOutcome:
     """Run one trial from the given initial set of infected vertices.
 
-    Checks, in order before each event: extinction, threshold reached,
-    horizon crossed (the pending event would fire after the horizon, so
-    the configuration at the horizon is the pre-event one).
+    This is the contact process's one event loop.  Checks, in order before
+    each event: extinction, threshold reached, horizon crossed (the
+    pending event would fire after the horizon, so the configuration at
+    the horizon is the pre-event one).  A SampleSet start is advanced in
+    place; threshold math.inf runs to the horizon or extinction.
     """
     if horizon <= 0 or threshold < 1:
         raise UsageError("horizon must be positive and threshold >= 1")
     state = initial if isinstance(initial, SampleSet) else SampleSet(initial)
-    lam = params.lam
-    rate_per_site = 1.0 + lam
+    rate_per_site = 1.0 + params.lam
     d2 = 2 * params.d
+    d2_bits = d2.bit_length()
     geo = params.geometry
     side = geo.side if geo is not None else 0
     t = 0.0
     events = 0
     max_size = len(state)
-    expo = rng.expovariate
+    # rng.expovariate and rng.randrange inlined: the same draws, in order
     uniform = rng.random
-    randrange = rng.randrange
+    bits = rng.getrandbits
     items = state.items
     while True:
         n = len(items)
@@ -194,16 +164,22 @@ def run_trial(
             return TrialOutcome(EXTINCT, t, max_size, events)
         if n >= threshold:
             return TrialOutcome(REACHED_THRESHOLD, None, max_size, events)
-        dt = expo(n * rate_per_site)
+        dt = -log(1.0 - uniform()) / (n * rate_per_site)
         if t + dt > horizon:
             return TrialOutcome(CENSORED, None, max_size, events)
         t += dt
         events += 1
-        if uniform() * rate_per_site < 1.0:
-            state.discard(items[randrange(n)])
+        recovery = uniform() * rate_per_site < 1.0
+        i = bits(n.bit_length())
+        while i >= n:
+            i = bits(n.bit_length())
+        if recovery:
+            state.discard(items[i])
         else:
-            x = items[randrange(n)]
-            k = randrange(d2)
+            x = items[i]
+            k = bits(d2_bits)
+            while k >= d2:
+                k = bits(d2_bits)
             axis = k >> 1
             delta = 1 - 2 * (k & 1)
             if geo is None:
@@ -218,23 +194,14 @@ def run_trial(
 def run_to_time(state: SampleSet, params: ContactParams, duration: float, rng) -> None:
     """Advance the configuration by exactly `duration` time units, in place.
 
-    Events whose waiting time would cross the end point are not applied
-    (memorylessness makes the early cutoff exact).
+    A run_trial with no threshold: the event whose waiting time would
+    cross the end point is not applied (memorylessness makes the early
+    cutoff exact).
     """
     if duration < 0:
         raise UsageError(f"duration must be >= 0, got {duration}")
-    lam = params.lam
-    rate_per_site = 1.0 + lam
-    t = 0.0
-    while len(state):
-        dt = rng.expovariate(len(state) * rate_per_site)
-        if t + dt > duration:
-            return
-        t += dt
-        if rng.random() * rate_per_site < 1.0:
-            state.discard(state.choose(rng))
-        else:
-            _attempt_infection(state, params, rng)
+    if duration > 0:
+        run_trial(state, params, duration, math.inf, rng)
 
 
 @dataclass(frozen=True)
@@ -246,7 +213,7 @@ class SurvivalEstimate:
     n_censored: int
     threshold: int
     horizon: float
-    threshold_escape_bound: float   # upper bound on extinction-after-threshold
+    threshold_escape_bound: float   # lower bound on the false-survivor rate
 
 
 def estimate_survival(
@@ -320,18 +287,14 @@ def duality_check(
     torus = params.geometry
     o = origin(params.d)
     full = [torus.vertex(i) for i in range(torus.volume)]
-    survived = 0
+    survived = covered = 0
     for trial in range(n_trials):
-        state = SampleSet((o,))
-        run_to_time(state, params, t, substream(seed, "single", trial))
-        if len(state):
-            survived += 1
-    covered = 0
-    for trial in range(n_trials):
-        state = SampleSet(full)
-        run_to_time(state, params, t, substream(seed, "full", trial))
-        if o in state:
-            covered += 1
+        single = SampleSet((o,))
+        run_to_time(single, params, t, substream(seed, "single", trial))
+        survived += len(single) > 0
+        everyone = SampleSet(full)
+        run_to_time(everyone, params, t, substream(seed, "full", trial))
+        covered += o in everyone
     p1 = survived / n_trials
     p2 = covered / n_trials
     pooled = (survived + covered) / (2 * n_trials)
@@ -395,4 +358,4 @@ def coupled_thinning_trial(
         for v in lo.items:
             if v not in hi:
                 return False
-    return len(lo) == 0 or all(v in hi for v in lo.items)
+    return True

@@ -30,7 +30,7 @@ import numpy as np
 from .analytics import second_moment_survival_bound
 from .errors import InvariantViolation, NumericalError, UsageError
 from .lattice import canonicalize, class_neighbor_table, origin, unit_vector
-from .walk import _absorbing_solve, stationary_offset
+from .walk import absorbing_solve, stationary_offset
 
 __all__ = [
     "CorrelationGenerator",
@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 _BLOWUP_LIMIT = 1e12
+RK4_STEP_TIMES_LAM = 0.05       # the RK4 step is this over lam
+STATIONARY_TOL_INTERIOR = 1e-8  # gate on |A L| over interior rows
+STATIONARY_TOL_ORIGIN = 1e-12   # gate on |A L| at the origin row
+PAIR_BOUND_TOL = 1e-6           # pair-bound slack for rounding and RK4 error
 
 
 class CorrelationGenerator:
@@ -83,9 +87,9 @@ class CorrelationGenerator:
         out[self.o] = (1.0 - self.lam) * vec[self.o] + 2.0 * self.lam * vec[self.e1]
         return out
 
-    def matched_hitting(self, tol: float = 1e-10) -> np.ndarray:
+    def matched_hitting(self) -> np.ndarray:
         """Dirichlet h on the same classes with the same absorbing radius."""
-        classes, h = _absorbing_solve(self.d, self.radius, tol)
+        classes, h = absorbing_solve(self.d, self.radius)
         if classes != self.classes:
             raise InvariantViolation("Dirichlet solve and generator disagree on class order")
         return h
@@ -106,22 +110,16 @@ class CorrelationState:
         return float(self.values[i]) if i is not None else 0.0
 
 
-def evolve_correlations(
-    gen: CorrelationGenerator,
-    t_end: float,
-    dt: float | None = None,
-) -> CorrelationState:
+def evolve_correlations(gen: CorrelationGenerator, t_end: float) -> CorrelationState:
     """Integrate dF/dt = A F from F = 1 with classic fourth-order steps.
 
-    The default step 0.05/lam keeps |eigenvalue|*dt around 0.2, far
-    inside the stability region, so step size is accuracy-driven.
+    The step RK4_STEP_TIMES_LAM/lam = 0.05/lam keeps |eigenvalue|*dt
+    around 0.2, far inside the stability region, so step size is
+    accuracy-driven.
     """
     if t_end < 0:
         raise UsageError(f"t_end must be >= 0, got {t_end}")
-    if dt is None:
-        dt = 0.05 / gen.lam
-    if dt <= 0:
-        raise UsageError(f"dt must be positive, got {dt}")
+    dt = RK4_STEP_TIMES_LAM / gen.lam
     values = np.ones(gen.n)
     steps = max(1, math.ceil(t_end / dt)) if t_end > 0 else 0
     h = t_end / steps if steps else 0.0
@@ -136,7 +134,7 @@ def evolve_correlations(
         if not math.isfinite(peak) or peak > _BLOWUP_LIMIT:
             raise NumericalError(
                 f"correlation evolution blew up (|F| ~ {peak:.3g}) at "
-                f"lam={gen.lam}, radius={gen.radius}; reduce t or dt"
+                f"lam={gen.lam}, radius={gen.radius}; reduce t"
             )
     return CorrelationState(generator=gen, values=values, time=t_end)
 
@@ -151,8 +149,8 @@ class StationaryVector:
     positive: bool       # offset > 0, i.e. the bound machinery has teeth
 
 
-def build_stationary(gen: CorrelationGenerator, tol: float = 1e-10) -> StationaryVector:
-    h = gen.matched_hitting(tol)
+def build_stationary(gen: CorrelationGenerator) -> StationaryVector:
+    h = gen.matched_hitting()
     h_e1 = float(h[gen.e1])
     b = stationary_offset(gen.lam, h_e1)
     return StationaryVector(
@@ -184,10 +182,7 @@ def stationary_residual(gen: CorrelationGenerator, sv: StationaryVector) -> Stat
 
 
 def verify_stationary(
-    gen: CorrelationGenerator,
-    sv: StationaryVector | None = None,
-    tol_interior: float = 1e-8,
-    tol_origin: float = 1e-12,
+    gen: CorrelationGenerator, sv: StationaryVector | None = None
 ) -> StationaryReport:
     """Check A L = 0 where it must hold; raise InvariantViolation if not.
 
@@ -200,14 +195,15 @@ def verify_stationary(
     if sv is None:
         sv = build_stationary(gen)
     report = stationary_residual(gen, sv)
-    if report.sup_interior > tol_interior:
+    if report.sup_interior > STATIONARY_TOL_INTERIOR:
         raise InvariantViolation(
             f"stationary vector fails interior rows: sup residual "
-            f"{report.sup_interior:.3e} > {tol_interior:.1e}"
+            f"{report.sup_interior:.3e} > {STATIONARY_TOL_INTERIOR:.1e}"
         )
-    if report.origin_row > tol_origin:
+    if report.origin_row > STATIONARY_TOL_ORIGIN:
         raise InvariantViolation(
-            f"origin-row cancellation off: {report.origin_row:.3e} > {tol_origin:.1e}"
+            f"origin-row cancellation off: {report.origin_row:.3e} > "
+            f"{STATIONARY_TOL_ORIGIN:.1e}"
         )
     return report
 
@@ -227,18 +223,16 @@ def second_moment_bound_check(
     radius: int,
     t: float,
     max_set_size: int,
-    dt: float | None = None,
-    tol: float = 1e-6,
 ) -> list[PairBoundRow]:
     """Evolve F to time t and check the bound chain on axis segments.
 
     Seed sets are A = {0, e1, 2*e1, ...} of each size up to max_set_size.
     For each, lhs = sum_{u,v in A} F_t(u - v) must stay below
-    rhs = [(n^2 - n)(h(e1) + b) + n(1 + b)] / b  (up to `tol` for rounding
-    and integrator error), and size^2/lhs must dominate the closed-form
-    floor.  Raises NumericalError when b <= 0 (the machinery is vacuous
-    there — larger d or smaller lam needed), InvariantViolation when an
-    inequality fails.
+    rhs = [(n^2 - n)(h(e1) + b) + n(1 + b)] / b  (up to PAIR_BOUND_TOL for
+    rounding and integrator error), and size^2/lhs must dominate the
+    closed-form floor.  Raises NumericalError when b <= 0 (the machinery
+    is vacuous there — larger d or smaller lam needed),
+    InvariantViolation when an inequality fails.
     """
     if max_set_size < 1:
         raise UsageError(f"max_set_size must be >= 1, got {max_set_size}")
@@ -253,7 +247,7 @@ def second_moment_bound_check(
             f"offset b = {sv.offset:.6f} <= 0 at lam={lam}, d={d} (truncated "
             f"h(e1) = {sv.hitting_e1:.6f}): the second-moment bound is vacuous here"
         )
-    state = evolve_correlations(gen, t, dt)
+    state = evolve_correlations(gen, t)
     h1 = sv.hitting_e1
     b = sv.offset
     f_origin = state.value(origin(d))
@@ -269,15 +263,15 @@ def second_moment_bound_check(
         cs_bound = size * size / lhs
         closed = size * size * b / numerator
         lemma = second_moment_survival_bound(lam, h1, size)
-        if lhs > rhs + tol:
+        if lhs > rhs + PAIR_BOUND_TOL:
             raise InvariantViolation(
                 f"pair-sum bound violated for size {size}: lhs {lhs:.9f} > "
-                f"rhs {rhs:.9f} + {tol:.1e}"
+                f"rhs {rhs:.9f} + {PAIR_BOUND_TOL:.1e}"
             )
-        if cs_bound < closed - tol:
+        if cs_bound < closed - PAIR_BOUND_TOL:
             raise InvariantViolation(
                 f"survival floor out of order for size {size}: "
-                f"{cs_bound:.9f} < {closed:.9f} - {tol:.1e}"
+                f"{cs_bound:.9f} < {closed:.9f} - {PAIR_BOUND_TOL:.1e}"
             )
         if abs(closed - lemma.value) > 1e-10:
             raise InvariantViolation(

@@ -38,6 +38,7 @@ __all__ = [
     "HittingEstimate",
     "hitting_mc",
     "hitting_harmonic",
+    "absorbing_solve",
     "kesten_check",
     "stationary_offset",
 ]
@@ -69,13 +70,13 @@ _RAW_BLOCK_CUTOFF = 96
 
 
 def _advance_raw(pos, rows, ks, d, rng):
-    """Advance pos[rows] by ks[i] raw uniform unit steps each (in place)."""
+    """Advance pos[rows] by ks[i] raw uniform unit steps each (in place),
+    tallied per (row, direction) cell by one bincount."""
     dirs = rng.integers(0, 2 * d, int(ks.sum()), dtype=np.int8)
-    offsets = np.zeros(len(ks), dtype=np.int64)
-    np.cumsum(ks[:-1], out=offsets[1:])
-    for ax in range(d):
-        sgn = (dirs == 2 * ax).view(np.int8) - (dirs == 2 * ax + 1).view(np.int8)
-        pos[rows, ax] += np.add.reduceat(sgn, offsets)
+    cells = np.repeat(np.arange(0, 2 * d * len(ks), 2 * d), ks)
+    cells += dirs
+    counts = np.bincount(cells, minlength=2 * d * len(ks)).reshape(len(ks), 2 * d)
+    pos[rows] += counts[:, 0::2] - counts[:, 1::2]
 
 
 def _mc_chunk(d: int, n: int, max_steps: int, rng: np.random.Generator) -> int:
@@ -100,11 +101,10 @@ def _mc_chunk(d: int, n: int, max_steps: int, rng: np.random.Generator) -> int:
         at_origin = dist == 0
         infeasible = remaining < dist
         n_hit = int(at_origin.sum())
-        if n_hit:
-            hits += n_hit
+        hits += n_hit
         if n_hit or infeasible.any():
             keep = ~at_origin & ~infeasible
-            pos = pos[keep]
+            pos = np.compress(keep, pos, axis=0)   # 4x a boolean row index
             remaining = remaining[keep]
             dist = dist[keep]
             if not pos.shape[0]:
@@ -168,18 +168,25 @@ def hitting_mc(
 # Dirichlet solve
 # ---------------------------------------------------------------------------
 
+SOLVE_TOL = 1e-10           # stop once the sweep change and the equation residual are below
+SOLVE_MAX_SWEEPS = 100_000  # raise NumericalError if still above after this many sweeps
+
+
 @functools.lru_cache(maxsize=64)
-def _cached_solve(d: int, radius: int, tol: float, max_sweeps: int):
+def absorbing_solve(d: int, radius: int, /):
     """Solve h = average of neighbors, h(O)=1, h=0 at sup-norm >= radius.
 
     Returns (classes, h) with h indexed like canonical_classes(d, radius-1).
-    Treat both as read-only: results are cached and shared.
+    Treat both as read-only: results are cached and shared, one entry per
+    (d, radius) (the arguments are positional-only, so no two spellings of
+    the same solve can miss each other's entry).
 
     Red-black Gauss-Seidel: canonical classes split by coordinate-sum
     parity (every lattice step flips it), so each half-sweep is one
     vectorized gather, indexed once per colour.  Stops on the equation
     residual, not the iterate change — the latter can go quiet while the
-    solution is still ~40x further away.
+    solution is still ~40x further away.  Raises NumericalError when
+    SOLVE_MAX_SWEEPS sweeps do not reach SOLVE_TOL.
     """
     if d < 1 or radius < 2:
         raise UsageError(f"need d >= 1 and radius >= 2, got d={d}, radius={radius}")
@@ -201,7 +208,7 @@ def _cached_solve(d: int, radius: int, tol: float, max_sweeps: int):
         avg[o] = 1.0
         return float(np.abs(h[:n] - avg).max())
 
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, SOLVE_MAX_SWEEPS + 1):
         delta = 0.0
         for rows, cols in gathers:
             new = h[cols].sum(axis=1) * inv_deg
@@ -209,30 +216,18 @@ def _cached_solve(d: int, radius: int, tol: float, max_sweeps: int):
             if step > delta:
                 delta = step
             h[rows] = new
-        if delta < tol and residual() < tol:
+        if delta < SOLVE_TOL and residual() < SOLVE_TOL:
             break
     else:
         raise NumericalError(
             f"harmonic solve stalled: d={d} radius={radius}, "
-            f"residual {residual():.3e} after {max_sweeps} sweeps (tol {tol:.1e})"
+            f"residual {residual():.3e} after {SOLVE_MAX_SWEEPS} sweeps (tol {SOLVE_TOL:.1e})"
         )
     return classes, h[:n].copy()
 
 
-def _absorbing_solve(d: int, radius: int, tol: float = 1e-10, max_sweeps: int = 100_000):
-    """_cached_solve with one cache entry however the arguments are spelled."""
-    return _cached_solve(d, radius, tol, max_sweeps)
-
-
-_absorbing_solve.cache_info = _cached_solve.cache_info
-_absorbing_solve.cache_clear = _cached_solve.cache_clear
-
-
 def hitting_harmonic(
-    d: int,
-    radius: int,
-    tol: float = 1e-10,
-    max_sweeps: int = 100_000,
+    d: int, radius: int
 ) -> tuple[dict[tuple[int, ...], float], HittingEstimate]:
     """Dirichlet-problem estimate of the hitting probability, with bracket.
 
@@ -242,12 +237,12 @@ def hitting_harmonic(
     for the infinite lattice — and bracket = (h_R, h_R + 2*(h_R - h_{R//2}))
     clamped to [0, 1].
     """
-    classes, h = _absorbing_solve(d, radius, tol, max_sweeps)
+    classes, h = absorbing_solve(d, radius)
     values = dict(zip(classes, h.tolist()))
     e1 = unit_vector(d)
     lower = values[e1]
     if radius // 2 >= 2:
-        half_classes, h_half = _absorbing_solve(d, radius // 2, tol, max_sweeps)
+        half_classes, h_half = absorbing_solve(d, radius // 2)
         h_half_e1 = h_half[half_classes.index(e1)]
         upper = min(1.0, lower + 2.0 * max(0.0, lower - h_half_e1))
     else:

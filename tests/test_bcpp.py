@@ -28,20 +28,38 @@ def test_initial_state_is_all_ones():
     assert f.support == set(range(T26.volume))
 
 
+class _ScriptedRng:
+    """Answers BcppField.step's draws: no wait, then the given site, event
+    kind and neighbour slot."""
+
+    def __init__(self, site: int, zero: bool, slot: int = 0):
+        self._ints = iter((site, slot))
+        self._mark = 0.0 if zero else 0.999
+
+    def expovariate(self, rate):
+        return 0.0
+
+    def randrange(self, n):
+        return next(self._ints)
+
+    def random(self):
+        return self._mark
+
+
 def test_single_absorb_event_adds_values():
     f = BcppField(T26, 2.0)
-    x, y = 0, f._nbrs[0][0]
-    f._absorb(x, y)             # at t=0, both values still exactly 1
+    x, y = f.step(_ScriptedRng(0, zero=False))   # at t=0, both values still exactly 1
+    assert (x, y) == (0, T26.neighbor_index_table()[0][0])
     assert f.value_at(x) == 2.0
     assert f.value_at(y) == 1.0
 
 
 def test_zero_event_empties_site_and_support():
     f = BcppField(T26, 2.0)
-    f._zero(5)
+    assert f.step(_ScriptedRng(5, zero=True)) == (5, None)
     assert f.value_at(5) == 0.0
     assert 5 not in f.support
-    f._zero(5)                  # idempotent
+    f.step(_ScriptedRng(5, zero=True))            # idempotent
     assert f.value_at(5) == 0.0
 
 

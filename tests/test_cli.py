@@ -7,6 +7,7 @@ point by t=10 at lam=2.  The actual gap decays like e^{-t}/2 and is still
 1e-6 window is reached at t=13.
 """
 
+import dataclasses
 import json
 import math
 
@@ -136,6 +137,12 @@ def test_survival_csv_json_roundtrip(tmp_path, capsys):
     assert restored.to_dict() == row
     assert row["lower_bound"] <= row["upper_bound"]
     assert 0.0 <= row["p_hat"] <= 1.0
+
+
+def test_result_row_fields_follow_csv_columns():
+    # to_dict and from_dict pair fields with SURVIVAL_COLUMNS by position
+    names = [f.name for f in dataclasses.fields(ResultRow)]
+    assert ["lambda" if n == "lam" else n for n in names] == SURVIVAL_COLUMNS
 
 
 def test_same_seed_byte_identical_across_job_counts(tmp_path, capsys):
@@ -282,6 +289,39 @@ def test_campaign_seed_flag_beats_config_seed(tmp_path, capsys):
     # without the flag the section's own seed applies
     assert main(["campaign", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == config_seed
+
+
+def test_campaign_refuses_out_and_format(tmp_path):
+    cfg = tmp_path / "ode.ini"
+    cfg.write_text("[ode]\nlambda = 2.0\nt-end = 1.0\n")
+    out = tmp_path / "x"
+    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["campaign", "--config", str(cfg), "--format", "json"]) == 2
+
+
+def test_campaign_jobs_reach_sections_byte_identically(tmp_path, monkeypatch, capsys):
+    pools = []
+    pool_class = cli.ProcessPoolExecutor
+
+    def recording_pool(max_workers):
+        pools.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"survival-{jobs}.csv"
+        cfg = tmp_path / f"survival-{jobs}.ini"
+        cfg.write_text(
+            "[survival]\nlambda = 2.0\nd = 3,4\ntrials = 40\nhorizon = 30\n"
+            f"threshold = 100\nh-walks = 3000\nh-max-steps = 500\nout = {out}\n"
+        )
+        assert main(["campaign", "--config", str(cfg), "--seed", "7", "--jobs", jobs]) == 0
+        blobs.append(out.read_bytes())
+    capsys.readouterr()
+    assert pools == [2]       # --jobs 1 ran in process, --jobs 2 on two workers
+    assert blobs[0] == blobs[1]
 
 
 def test_campaign_section_honours_json_format(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from contact_mf.analytics import threshold_error_bound
 from contact_mf.contact import (
     CENSORED,
     EXTINCT,
@@ -16,7 +17,6 @@ from contact_mf.contact import (
     estimate_survival,
     run_to_time,
     run_trial,
-    step,
 )
 from contact_mf.errors import UsageError
 from contact_mf.lattice import Torus, origin
@@ -62,55 +62,45 @@ def test_params_validation():
     ContactParams(0.0, 3)   # pure death is allowed
 
 
-# ---------------------------------------------------------- single step
+# ------------------------------------------------------ event rate laws
 
-def test_step_requires_occupancy():
-    with pytest.raises(UsageError):
-        step(SampleSet(), ContactParams(2.0, 3), random.Random(0))
-
-
-def test_step_pure_death_always_removes():
-    rng = random.Random(11)
-    params = ContactParams(0.0, 3)
-    elapsed = []
-    for _ in range(4000):
-        s = SampleSet([O3])
-        elapsed.append(step(s, params, rng))
-        assert len(s) == 0
-    mean = sum(elapsed) / len(elapsed)
-    assert abs(mean - 1.0) < 3 / math.sqrt(len(elapsed))
-
-
-def test_step_event_mix_matches_rates():
-    # from a frozen size-n configuration the recovery share must be
-    # 1/(1+lam); classify by whether the set shrank
-    lam, n_events = 2.0, 6000
-    params = ContactParams(lam, 2)
-    base = [(i, j) for i in range(5) for j in range(5)]
-    rng = random.Random(7)
-    recoveries = 0
-    for _ in range(n_events):
-        s = SampleSet(base)
-        before = len(s)
-        step(s, params, rng)
-        if len(s) < before:
-            recoveries += 1
+def test_single_event_outcome_matches_recovery_share():
+    # one site, threshold 2: the first event either recovers the site
+    # (probability 1/(1+lam), extinct) or infects a neighbour (threshold),
+    # after an Exp(1+lam) wait
+    lam, reps = 2.0, 6000
+    params = ContactParams(lam, 3)
+    extinct_times = []
+    for trial in range(reps):
+        out = run_trial([O3], params, 100.0, 2, substream(5, "first-event", trial))
+        assert out.event_count == 1
+        if out.verdict == EXTINCT:
+            extinct_times.append(out.extinction_time)
+        else:
+            assert out.verdict == REACHED_THRESHOLD and out.max_size == 2
     p = 1 / (1 + lam)
-    assert abs(recoveries / n_events - p) < 3 * math.sqrt(p * (1 - p) / n_events)
+    assert abs(len(extinct_times) / reps - p) < 3 * math.sqrt(p * (1 - p) / reps)
+    # the recovery mark is independent of the clock, so the extinction
+    # times are still Exp(1+lam)
+    mean = sum(extinct_times) / len(extinct_times)
+    expected = 1 / (1 + lam)
+    assert abs(mean - expected) < 3 * expected / math.sqrt(len(extinct_times))
 
 
-def test_step_total_rate_scales_with_size():
-    # waiting times from a size-n set are Exponential(n(1+lam))
-    lam, n = 1.5, 20
-    params = ContactParams(lam, 2)
-    rng = random.Random(13)
+def test_pure_death_extinction_time_is_harmonic_number():
+    # lam = 0 from n sites: n successive Exp(k) recoveries, k = n..1, so
+    # the extinction time has mean H_n and variance sum 1/k^2
+    n, reps = 20, 4000
+    params = ContactParams(0.0, 2)
     base = [(i, 0) for i in range(n)]
-    total = 0.0
-    reps = 5000
-    for _ in range(reps):
-        total += step(SampleSet(base), params, rng)
-    expected = 1.0 / (n * (1 + lam))
-    assert abs(total / reps - expected) < 3 * expected / math.sqrt(reps)
+    times = []
+    for trial in range(reps):
+        out = run_trial(base, params, 1000.0, n + 1, substream(6, "pure-death", trial))
+        assert out.verdict == EXTINCT and out.event_count == n
+        times.append(out.extinction_time)
+    h_n = sum(1 / k for k in range(1, n + 1))
+    sd = math.sqrt(sum(1 / k**2 for k in range(1, n + 1)))
+    assert abs(sum(times) / reps - h_n) < 3 * sd / math.sqrt(reps)
 
 
 # --------------------------------------------------------------- trials
@@ -179,6 +169,27 @@ def test_estimate_is_deterministic_in_seed():
     c = estimate_survival(ContactParams(2.0, 4), 200, 50.0, 100, seed=9)
     assert a == b
     assert a.n_reached != c.n_reached or a.n_censored != c.n_censored
+
+
+def test_threshold_escape_bound_is_a_floor_not_a_ceiling():
+    # continue every trial that reached the threshold: it still dies out
+    # more often than (1/lam)^threshold, the dominating walk's extinction
+    # probability from that size (0.053 +- 0.006 against 0.031 here), because
+    # the contact process is smaller than the walk
+    lam, threshold = 2.0, 5
+    params = ContactParams(lam, 4)
+    reached = died = 0
+    for trial in range(3000):
+        rng = substream(9, "escape", trial)
+        state = SampleSet([origin(4)])
+        if run_trial(state, params, 200.0, threshold, rng).verdict != REACHED_THRESHOLD:
+            continue
+        reached += 1
+        if run_trial(state, params, 200.0, 400, rng).verdict == EXTINCT:
+            died += 1
+    rate = died / reached
+    se = math.sqrt(rate * (1 - rate) / reached)
+    assert rate - 3 * se > threshold_error_bound(lam, threshold)
 
 
 def test_growth_sweep_approaches_mean_field_value():

@@ -15,8 +15,10 @@ import math
 
 import pytest
 
-from contact_mf.errors import InvariantViolation, UsageError
+from contact_mf import walk
+from contact_mf.errors import InvariantViolation, NumericalError, UsageError
 from contact_mf.walk import (
+    absorbing_solve,
     hitting_harmonic,
     hitting_mc,
     kesten_check,
@@ -83,6 +85,14 @@ def test_harmonic_d3_bracket_contains_reference():
 def test_harmonic_lower_bound_grows_with_radius():
     hs = [hitting_harmonic(3, radius=r)[1].h for r in (6, 10, 14)]
     assert hs[0] < hs[1] < hs[2] < D3_RETURN
+
+
+def test_absorbing_solve_is_positional_and_raises_on_stall(monkeypatch):
+    with pytest.raises(TypeError):
+        absorbing_solve(d=3, radius=6)      # one spelling, so one cache entry
+    monkeypatch.setattr(walk, "SOLVE_MAX_SWEEPS", 2)
+    with pytest.raises(NumericalError, match="stalled"):
+        absorbing_solve.__wrapped__(3, 6)   # uncached, so the cap applies
 
 
 def test_kesten_table_monotone_in_dimension():
