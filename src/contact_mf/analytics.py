@@ -120,7 +120,12 @@ def reach_probability(lam: float, d: int | None, level: int) -> float:
     ratio = 1.0 / mu
     if abs(ratio - 1.0) < RATIO_DEGENERACY_WINDOW:
         return 1.0 / level
-    value = (1.0 - ratio) / (1.0 - ratio**level)
+    if ratio > 1.0:
+        # the same ruin formula in powers of mu < 1, which underflow to 0
+        # where ratio**level would overflow
+        value = (ratio - 1.0) * mu**level / (1.0 - mu**level)
+    else:
+        value = (1.0 - ratio) / (1.0 - ratio**level)
     return min(1.0, max(0.0, value))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 from math import exp, log
 
 import numpy as np
@@ -260,7 +261,10 @@ def first_moment_check(
     """
     if n_trials < 2:
         raise UsageError("need at least 2 trials for a standard error")
-    checkpoints = sorted(float(t) for t in (times if hasattr(times, "__iter__") else [times]))
+    points = [times] if isinstance(times, str) or not hasattr(times, "__iter__") else list(times)
+    if not all(isinstance(t, numbers.Real) for t in points):
+        raise UsageError(f"checkpoint times must be real numbers, got {times!r}")
+    checkpoints = sorted(float(t) for t in points)
     if not checkpoints or checkpoints[0] < 0:
         raise UsageError(f"checkpoint times must be >= 0, got {times!r}")
     o = torus.index(origin(torus.dimension))

@@ -198,10 +198,25 @@ def _best_level(lam: float, d: int, hitting: float, cap: int = 200) -> tuple[int
     return best_k, best_v
 
 
-def _survival_cell(payload: tuple) -> dict:
-    lam, d, trials, horizon, threshold, cell_seed, hitting, bound_k = payload
-    params = contact.ContactParams(lam, d)
-    est = contact.estimate_survival(params, trials, horizon, threshold, cell_seed)
+def _survival_cell(task: tuple):
+    """Run one task of the survival pool.
+
+    ("hitting", d, n_walks, max_steps, key) returns the Monte Carlo H(d);
+    ("trials", lam, d, block, horizon, threshold, cell_seed) returns the
+    (n_reached, n_censored) tally of the trial indices in range `block`.
+    """
+    kind, *spec = task
+    if kind == "hitting":
+        d, n_walks, max_steps, key = spec
+        return walk.hitting_mc(d, n_walks=n_walks, max_steps=max_steps, seed=key).h
+    lam, d, block, horizon, threshold, cell_seed = spec
+    return contact.tally_survival(
+        contact.ContactParams(lam, d), block, horizon, threshold, cell_seed
+    )
+
+
+def _survival_row(est: contact.SurvivalEstimate, lam: float, d: int,
+                  hitting: float, bound_k: int | None, cell_seed: int) -> dict:
     if bound_k is None:
         k_used, lower = _best_level(lam, d, hitting)
     elif lam <= 1.0 or hitting >= 1.0:
@@ -223,6 +238,9 @@ def cmd_survival(args) -> int:
     lams = _float_list(args.lam if args.lam is not None else "2.0")
     dims = _int_list(args.d if args.d is not None else "4,6,8")
     trials = args.trials if args.trials is not None else 2000
+    if trials < 1:
+        # refused before the H walks, which take seconds to minutes
+        raise UsageError(f"--trials must be >= 1, got {trials}")
     horizon = args.horizon if args.horizon is not None else 200.0
     threshold = args.threshold if args.threshold is not None else 500
     seed = _resolve_seed(args)
@@ -232,29 +250,37 @@ def cmd_survival(args) -> int:
         " <= (lam-1)/lam + 3*sigma"
     )
     print(f"# {header}")
-    hitting_by_d = {
-        d: walk.hitting_mc(
-            d,
-            n_walks=args.h_walks if args.h_walks is not None else 200_000,
-            max_steps=args.h_max_steps if args.h_max_steps is not None else 10_000,
-            seed=stream_key(seed, "hitting", d),
-        ).h
-        for d in sorted(set(dims))
-    }
+    n_walks = args.h_walks if args.h_walks is not None else 200_000
+    max_steps = args.h_max_steps if args.h_max_steps is not None else 10_000
+    h_dims = sorted(set(dims))
+    # one task list for one pool: the H walks first, as the longest tasks,
+    # then every cell's trials in blocks small enough to even out the load
+    tasks = [("hitting", d, n_walks, max_steps, stream_key(seed, "hitting", d)) for d in h_dims]
     cells = []
     for i, lam in enumerate(lams):
         for j, d in enumerate(dims):
             # 63-bit mask keeps the serialized per-cell seed a plain int64
-            cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
-            cells.append(
-                (lam, d, trials, horizon, threshold, cell_seed,
-                 hitting_by_d[d], args.bound_k)
-            )
-    if jobs > 1 and len(cells) > 1:
+            cells.append((lam, d, stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)))
+    n_blocks = min(trials, 4 * max(jobs, 1))
+    for lam, d, cell_seed in cells:
+        for b in range(n_blocks):
+            block = range(trials * b // n_blocks, trials * (b + 1) // n_blocks)
+            tasks.append(("trials", lam, d, block, horizon, threshold, cell_seed))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_survival_cell, cells))
+            results = list(pool.map(_survival_cell, tasks))
     else:
-        rows = [_survival_cell(c) for c in cells]
+        results = [_survival_cell(task) for task in tasks]
+    hitting_by_d = dict(zip(h_dims, results))
+    tallies = results[len(h_dims):]
+    rows = []
+    for c, (lam, d, cell_seed) in enumerate(cells):
+        blocks = tallies[c * n_blocks:(c + 1) * n_blocks]
+        est = contact.summarize_survival(
+            contact.ContactParams(lam, d), trials,
+            sum(r for r, _ in blocks), sum(n for _, n in blocks), horizon, threshold,
+        )
+        rows.append(_survival_row(est, lam, d, hitting_by_d[d], args.bound_k, cell_seed))
     _emit(rows, SURVIVAL_COLUMNS, args, header)
     ok = all(
         r["lower_bound"] - 3 * r["std_err"] <= r["p_hat"] <= r["upper_bound"] + 3 * r["std_err"]
@@ -514,7 +540,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
                    help="INI-style config; section [<subcommand>] supplies defaults")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for grid cells (default: machine parallelism)")
+                   help="worker processes (default: machine parallelism)")
 
 
 def _parse(argv) -> argparse.Namespace:

@@ -37,6 +37,8 @@ __all__ = [
     "SurvivalEstimate",
     "run_trial",
     "run_to_time",
+    "tally_survival",
+    "summarize_survival",
     "estimate_survival",
     "DualityResult",
     "duality_check",
@@ -216,6 +218,57 @@ class SurvivalEstimate:
     threshold_escape_bound: float   # lower bound on the false-survivor rate
 
 
+def tally_survival(
+    params: ContactParams,
+    trials: range,
+    horizon: float,
+    threshold: int,
+    seed: int,
+) -> tuple[int, int]:
+    """Run the given trial indices from a single infected origin.
+
+    Returns (n_reached, n_censored).  Trial i draws only from its own
+    substream, so tallies of disjoint index blocks sum to the tally of
+    their union, whatever the order or process they run in.
+    """
+    start = (origin(params.d),)
+    n_reached = 0
+    n_censored = 0
+    for trial in trials:
+        rng = substream(seed, "trial", trial)
+        out = run_trial(start, params, horizon, threshold, rng)
+        if out.verdict == REACHED_THRESHOLD:
+            n_reached += 1
+        elif out.verdict == CENSORED:
+            n_censored += 1
+    return n_reached, n_censored
+
+
+def summarize_survival(
+    params: ContactParams,
+    n_trials: int,
+    n_reached: int,
+    n_censored: int,
+    horizon: float,
+    threshold: int,
+) -> SurvivalEstimate:
+    """Turn the tally of n_trials trials into p_hat and its standard error."""
+    if n_trials < 1:
+        raise UsageError(f"n_trials must be >= 1, got {n_trials}")
+    p_hat = n_reached / n_trials
+    std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
+    return SurvivalEstimate(
+        p_hat=p_hat,
+        std_err=std_err,
+        n_trials=n_trials,
+        n_reached=n_reached,
+        n_censored=n_censored,
+        threshold=threshold,
+        horizon=horizon,
+        threshold_escape_bound=threshold_error_bound(params.lam, threshold),
+    )
+
+
 def estimate_survival(
     params: ContactParams,
     n_trials: int,
@@ -232,30 +285,8 @@ def estimate_survival(
     substreams indexed by trial number, so results do not depend on
     execution order.
     """
-    if n_trials < 1:
-        raise UsageError(f"n_trials must be >= 1, got {n_trials}")
-    start = (origin(params.d),)
-    n_reached = 0
-    n_censored = 0
-    for trial in range(n_trials):
-        rng = substream(seed, "trial", trial)
-        out = run_trial(start, params, horizon, threshold, rng)
-        if out.verdict == REACHED_THRESHOLD:
-            n_reached += 1
-        elif out.verdict == CENSORED:
-            n_censored += 1
-    p_hat = n_reached / n_trials
-    std_err = math.sqrt(p_hat * (1.0 - p_hat) / n_trials)
-    return SurvivalEstimate(
-        p_hat=p_hat,
-        std_err=std_err,
-        n_trials=n_trials,
-        n_reached=n_reached,
-        n_censored=n_censored,
-        threshold=threshold,
-        horizon=horizon,
-        threshold_escape_bound=threshold_error_bound(params.lam, threshold),
-    )
+    counts = tally_survival(params, range(n_trials), horizon, threshold, seed)
+    return summarize_survival(params, n_trials, *counts, horizon, threshold)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,7 @@ in one pytest invocation when possible.
 """
 
 import itertools
-import math
 import time
-
-import pytest
 
 from contact_mf import analytics, bcpp, contact, moments, walk
 from contact_mf.errors import InvariantViolation, NumericalError

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contact_mf.analytics import (
     combined_survival_bound,
@@ -88,6 +90,13 @@ def test_reach_monotone_in_d_and_level():
     assert all(a <= b + 1e-15 for a, b in zip(vals_d, vals_d[1:]))
     vals_k = [reach_probability(2.0, 10, k) for k in range(1, 9)]
     assert all(a >= b - 1e-15 for a, b in zip(vals_k, vals_k[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0.05, 20.0), d=st.none() | st.integers(1, 200),
+       level=st.integers(1, 400))
+def test_reach_does_not_increase_in_level(lam, d, level):
+    assert reach_probability(lam, d, level + 1) <= reach_probability(lam, d, level)
 
 
 def test_reach_approaches_infinite_d_formula():

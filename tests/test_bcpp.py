@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from contact_mf.bcpp import BcppField, first_moment_check, pair_moment_mc, run_coupled
-from contact_mf.errors import InvariantViolation, UsageError
+from contact_mf.errors import UsageError
 from contact_mf.lattice import Torus, origin
 from contact_mf.rng import substream
 
@@ -126,6 +126,13 @@ def test_first_moment_input_validation():
         first_moment_check(2.0, T26, [1.0], 1, seed=0)
     with pytest.raises(UsageError):
         first_moment_check(2.0, T26, [-1.0], 100, seed=0)
+
+
+@pytest.mark.parametrize("times", ["0.5", [0.5, "1.0"], [None], "0.5,1.0"])
+def test_first_moment_rejects_non_numeric_times(times):
+    # a string is one bad entry, never a list of its characters
+    with pytest.raises(UsageError, match="real numbers"):
+        first_moment_check(1.5, Torus(2, 4), times, 10, 0)
 
 
 def test_pair_moment_time_zero_is_exact():

@@ -146,16 +146,25 @@ def test_result_row_fields_follow_csv_columns():
 
 
 def test_same_seed_byte_identical_across_job_counts(tmp_path, capsys):
-    base = ["survival", "--lambda", "2.0", "--d", "3,4", "--trials", "40",
+    # 2 lambdas x 2 dims: more cells than workers at --jobs 2 and 3, and at
+    # --jobs 3 the 12 trial blocks per cell do not divide the 40 trials
+    base = ["survival", "--lambda", "1.5,2.0", "--d", "3,4", "--trials", "40",
             "--horizon", "30", "--threshold", "100", "--seed", "7",
             "--h-walks", "3000", "--h-max-steps", "500"]
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    assert main(base + ["--jobs", "1", "--out", str(paths[0])]) == 0
-    assert main(base + ["--jobs", "1", "--out", str(paths[1])]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(paths[2])]) == 0
+    blobs = []
+    for i, jobs in enumerate(("1", "1", "2", "3")):
+        out = tmp_path / f"{i}-jobs-{jobs}.csv"
+        assert main(base + ["--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
     capsys.readouterr()
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+    assert len(blobs[0].decode().splitlines()) == 2 + 4
+
+
+def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
+    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    assert main(["survival", "--d", "4", "--trials", "0", "--jobs", "1"]) == 2
+    assert "--trials must be >= 1" in capsys.readouterr().err
 
 
 def test_subcritical_grid_reports_all_zero(capsys):

@@ -17,6 +17,8 @@ from contact_mf.contact import (
     estimate_survival,
     run_to_time,
     run_trial,
+    summarize_survival,
+    tally_survival,
 )
 from contact_mf.errors import UsageError
 from contact_mf.lattice import Torus, origin
@@ -169,6 +171,25 @@ def test_estimate_is_deterministic_in_seed():
     c = estimate_survival(ContactParams(2.0, 4), 200, 50.0, 100, seed=9)
     assert a == b
     assert a.n_reached != c.n_reached or a.n_censored != c.n_censored
+
+
+@pytest.mark.parametrize("cuts", [[], [7, 19, 20, 33], list(range(1, 40))],
+                         ids=["one-block", "uneven-blocks", "one-trial-blocks"])
+def test_block_tallies_sum_to_the_whole_estimate(cuts):
+    params = ContactParams(2.0, 4)
+    est = estimate_survival(params, 40, 30.0, 60, seed=5)
+    edges = [0, *cuts, 40]
+    blocks = [tally_survival(params, range(a, b), 30.0, 60, 5)
+              for a, b in zip(edges, edges[1:])]
+    reached = sum(r for r, _ in blocks)
+    censored = sum(c for _, c in blocks)
+    assert (reached, censored) == (est.n_reached, est.n_censored)
+    assert summarize_survival(params, 40, reached, censored, 30.0, 60) == est
+
+
+def test_summarize_survival_rejects_no_trials():
+    with pytest.raises(UsageError):
+        summarize_survival(ContactParams(2.0, 4), 0, 0, 0, 30.0, 60)
 
 
 def test_threshold_escape_bound_is_a_floor_not_a_ceiling():

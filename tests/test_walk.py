@@ -11,8 +11,6 @@ has a slowly decaying 1/d correction); they fail by design and are
 expected failures of record, not regressions.
 """
 
-import math
-
 import pytest
 
 from contact_mf import walk
