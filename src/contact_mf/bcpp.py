@@ -36,6 +36,9 @@ from .rng import substream
 __all__ = [
     "BcppField",
     "run_coupled",
+    "mean_rows",
+    "checkpoint_times",
+    "first_moment_values",
     "first_moment_check",
     "pair_moment_mc",
 ]
@@ -228,20 +231,54 @@ def run_coupled(lam: float, torus: Torus, horizon: float, rng) -> int:
             )
 
 
-def _mean_rows(keys, trial_values, n_trials: int) -> list[tuple]:
-    """(key, mean, std_err) per key over trials 0..n_trials-1, where
-    trial_values(trial) gives that trial's values, one per key in order."""
+def mean_rows(keys, trial_rows) -> list[tuple]:
+    """(key, mean, std_err) per key over per-trial rows, each row holding
+    one value per key in key order; sums run in row order."""
     sums = [0.0] * len(keys)
     sumsq = [0.0] * len(keys)
-    for trial in range(n_trials):
-        for j, v in enumerate(trial_values(trial)):
+    n_trials = 0
+    for row in trial_rows:
+        n_trials += 1
+        for j, v in enumerate(row):
             sums[j] += v
             sumsq[j] += v * v
+    if n_trials < 2:
+        raise UsageError("need at least 2 trials for a standard error")
     rows = []
     for key, total, total_sq in zip(keys, sums, sumsq):
         mean = total / n_trials
         var = max(0.0, (total_sq - n_trials * mean * mean) / (n_trials - 1))
         rows.append((key, mean, math.sqrt(var / n_trials)))
+    return rows
+
+
+def checkpoint_times(times) -> list[float]:
+    """The checkpoint times, ascending; refuses a non-real or negative one.
+    A single number, or a str (never split into characters), is one entry."""
+    points = [times] if isinstance(times, str) or not hasattr(times, "__iter__") else list(times)
+    if not all(isinstance(t, numbers.Real) for t in points):
+        raise UsageError(f"checkpoint times must be real numbers, got {times!r}")
+    ordered = sorted(float(t) for t in points)
+    if not ordered or ordered[0] < 0:
+        raise UsageError(f"checkpoint times must be >= 0, got {times!r}")
+    return ordered
+
+
+def first_moment_values(lam: float, torus: Torus, checkpoints: list[float], trials: range,
+                        seed: int) -> list[list[float]]:
+    """The origin's value at each checkpoint (ascending, as checkpoint_times
+    returns them), one row per trial index in `trials`.  Trial i draws only
+    from its own substream, whatever block or process runs it."""
+    o = torus.index(origin(torus.dimension))
+    rows = []
+    for trial in trials:
+        rng = substream(seed, "first-moment", trial)
+        field = BcppField(torus, lam)
+        row = []
+        for cp in checkpoints:
+            field.run_until(cp, rng)
+            row.append(field.value_at(o))
+        rows.append(row)
     return rows
 
 
@@ -259,24 +296,9 @@ def first_moment_check(
     independent trials, each trial visiting all checkpoints in one run.
     Returns (t, mean, std_err) per checkpoint.
     """
-    if n_trials < 2:
-        raise UsageError("need at least 2 trials for a standard error")
-    points = [times] if isinstance(times, str) or not hasattr(times, "__iter__") else list(times)
-    if not all(isinstance(t, numbers.Real) for t in points):
-        raise UsageError(f"checkpoint times must be real numbers, got {times!r}")
-    checkpoints = sorted(float(t) for t in points)
-    if not checkpoints or checkpoints[0] < 0:
-        raise UsageError(f"checkpoint times must be >= 0, got {times!r}")
-    o = torus.index(origin(torus.dimension))
-
-    def trial_values(trial):
-        rng = substream(seed, "first-moment", trial)
-        field = BcppField(torus, lam)
-        for cp in checkpoints:
-            field.run_until(cp, rng)
-            yield field.value_at(o)
-
-    return _mean_rows(checkpoints, trial_values, n_trials)
+    checkpoints = checkpoint_times(times)
+    values = first_moment_values(lam, torus, checkpoints, range(n_trials), seed)
+    return mean_rows(checkpoints, values)
 
 
 def pair_moment_mc(
@@ -294,22 +316,9 @@ def pair_moment_mc(
     mean as the origin pair but much smaller variance.  Returns
     (offset, mean, std_err) rows.
     """
-    if n_trials < 2:
-        raise UsageError("need at least 2 trials for a standard error")
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
-    d = torus.dimension
-    side = torus.side
-    perms = []
-    for u in offsets:
-        if len(u) != d:
-            raise UsageError(f"offset {u} does not have dimension {d}")
-        perm = np.empty(torus.volume, dtype=np.int64)
-        for i in range(torus.volume):
-            v = torus.vertex(i)
-            shifted = tuple((v[k] + u[k]) % side for k in range(d))
-            perm[i] = torus.index(shifted)
-        perms.append(perm)
+    perms = [torus.translation(u) for u in offsets]
 
     def trial_values(trial):
         field = BcppField(torus, lam)
@@ -317,4 +326,4 @@ def pair_moment_mc(
         arr = field.values_array()
         return [float((arr * arr[perm]).mean()) for perm in perms]
 
-    return _mean_rows([tuple(u) for u in offsets], trial_values, n_trials)
+    return mean_rows([tuple(u) for u in offsets], map(trial_values, range(n_trials)))

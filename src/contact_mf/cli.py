@@ -198,25 +198,55 @@ def _best_level(lam: float, d: int, hitting: float, cap: int = 200) -> tuple[int
     return best_k, best_v
 
 
+def _jobs(args) -> int:
+    return args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+
+
+def _blocks(trials: int, jobs: int) -> list[range]:
+    """Trial indices 0..trials-1 cut into min(trials, 4*jobs) blocks of
+    consecutive indices, small enough to even out the workers' load."""
+    n = min(trials, 4 * max(jobs, 1))
+    return [range(trials * b // n, trials * (b + 1) // n) for b in range(n)]
+
+
 def _survival_cell(task: tuple):
-    """Run one task of the survival pool.
+    """Run one pool task; every command's pool maps this one function.
 
     ("hitting", d, n_walks, max_steps, key) returns the Monte Carlo H(d);
-    ("trials", lam, d, block, horizon, threshold, cell_seed) returns the
-    (n_reached, n_censored) tally of the trial indices in range `block`.
+    ("trials", params, block, horizon, threshold, cell_seed) the
+    (n_reached, n_censored) survival tally of the trial indices in range
+    `block`; ("duality", params, t, block, seed) their (survived, covered)
+    duality tally; ("coupled", lam, torus, horizon, block, seed) their
+    summed bcpp coupled-run event count; ("first-moment", lam, torus,
+    checkpoints, block, seed) one row of origin values per trial.
     """
     kind, *spec = task
     if kind == "hitting":
         d, n_walks, max_steps, key = spec
         return walk.hitting_mc(d, n_walks=n_walks, max_steps=max_steps, seed=key).h
-    lam, d, block, horizon, threshold, cell_seed = spec
-    return contact.tally_survival(
-        contact.ContactParams(lam, d), block, horizon, threshold, cell_seed
-    )
+    if kind == "coupled":
+        lam, torus, horizon, block, seed = spec
+        return sum(bcpp.run_coupled(lam, torus, horizon, substream(seed, "coupled", i))
+                   for i in block)
+    tally = {"trials": contact.tally_survival, "duality": contact.tally_duality,
+             "first-moment": bcpp.first_moment_values}[kind]
+    return tally(*spec)
 
 
-def _survival_row(est: contact.SurvivalEstimate, lam: float, d: int,
+def _run_tasks(tasks: list, jobs: int) -> list:
+    """_survival_cell of every task, in task order: on a pool of `jobs`
+    workers, never more than there are tasks, or in process when that
+    leaves one.  A worker's exception is raised here, in the parent."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [_survival_cell(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_survival_cell, tasks))
+
+
+def _survival_row(est: contact.SurvivalEstimate, params: contact.ContactParams,
                   hitting: float, bound_k: int | None, cell_seed: int) -> dict:
+    lam, d = params.lam, params.d
     if bound_k is None:
         k_used, lower = _best_level(lam, d, hitting)
     elif lam <= 1.0 or hitting >= 1.0:
@@ -244,7 +274,7 @@ def cmd_survival(args) -> int:
     horizon = args.horizon if args.horizon is not None else 200.0
     threshold = args.threshold if args.threshold is not None else 500
     seed = _resolve_seed(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
+    jobs = _jobs(args)
     header = (
         "survival sandwich: reach(level)*floor(level) - 3*sigma <= p_hat"
         " <= (lam-1)/lam + 3*sigma"
@@ -254,33 +284,25 @@ def cmd_survival(args) -> int:
     max_steps = args.h_max_steps if args.h_max_steps is not None else 10_000
     h_dims = sorted(set(dims))
     # one task list for one pool: the H walks first, as the longest tasks,
-    # then every cell's trials in blocks small enough to even out the load
+    # then every cell's trials in blocks
     tasks = [("hitting", d, n_walks, max_steps, stream_key(seed, "hitting", d)) for d in h_dims]
     cells = []
     for i, lam in enumerate(lams):
         for j, d in enumerate(dims):
             # 63-bit mask keeps the serialized per-cell seed a plain int64
-            cells.append((lam, d, stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)))
-    n_blocks = min(trials, 4 * max(jobs, 1))
-    for lam, d, cell_seed in cells:
-        for b in range(n_blocks):
-            block = range(trials * b // n_blocks, trials * (b + 1) // n_blocks)
-            tasks.append(("trials", lam, d, block, horizon, threshold, cell_seed))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_survival_cell, tasks))
-    else:
-        results = [_survival_cell(task) for task in tasks]
+            cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
+            cells.append((contact.ContactParams(lam, d), cell_seed))
+    blocks = _blocks(trials, jobs)
+    for params, cell_seed in cells:
+        tasks += [("trials", params, block, horizon, threshold, cell_seed) for block in blocks]
+    results = _run_tasks(tasks, jobs)
     hitting_by_d = dict(zip(h_dims, results))
     tallies = results[len(h_dims):]
     rows = []
-    for c, (lam, d, cell_seed) in enumerate(cells):
-        blocks = tallies[c * n_blocks:(c + 1) * n_blocks]
-        est = contact.summarize_survival(
-            contact.ContactParams(lam, d), trials,
-            sum(r for r, _ in blocks), sum(n for _, n in blocks), horizon, threshold,
-        )
-        rows.append(_survival_row(est, lam, d, hitting_by_d[d], args.bound_k, cell_seed))
+    for c, (params, cell_seed) in enumerate(cells):
+        cell = tallies[c * len(blocks):(c + 1) * len(blocks)]
+        est = contact.summarize_survival(params, trials, *map(sum, zip(*cell)), horizon, threshold)
+        rows.append(_survival_row(est, params, hitting_by_d[params.d], args.bound_k, cell_seed))
     _emit(rows, SURVIVAL_COLUMNS, args, header)
     ok = all(
         r["lower_bound"] - 3 * r["std_err"] <= r["p_hat"] <= r["upper_bound"] + 3 * r["std_err"]
@@ -406,10 +428,19 @@ def cmd_duality(args) -> int:
     side = args.torus_side if args.torus_side is not None else 8
     t = args.t if args.t is not None else 3.0
     trials = args.trials if args.trials is not None else 10_000
+    seed = _resolve_seed(args)
+    jobs = _jobs(args)
+    # refused here, before any worker starts
+    if t < 0:
+        raise UsageError(f"time must be >= 0, got {t}")
+    if trials < 1:
+        raise UsageError(f"n_trials must be >= 1, got {trials}")
     header = "P(eta_t^O nonempty) = P(eta_t^full(O) = 1) on a torus (self-duality)"
     print(f"# {header}")
     params = contact.ContactParams(lam, d, Torus(d, side))
-    res = contact.duality_check(params, t, trials, _resolve_seed(args))
+    tasks = [("duality", params, t, block, seed) for block in _blocks(trials, jobs)]
+    tallies = _run_tasks(tasks, jobs)
+    res = contact.summarize_duality(*map(sum, zip(*tallies)), trials)
     rows = [{
         "lambda": lam, "d": d, "torus_side": side, "t": t,
         "n_trials": res.n_trials,
@@ -432,15 +463,23 @@ def cmd_bcpp_check(args) -> int:
     trials = args.trials if args.trials is not None else 100
     times = _float_list(args.times) if args.times is not None else [0.5, 1.0, 2.0]
     seed = _resolve_seed(args)
+    jobs = _jobs(args)
+    # refused here, before any worker starts
+    if horizon <= 0:
+        raise UsageError(f"horizon must be positive, got {horizon}")
+    checkpoints = bcpp.checkpoint_times(times)
     header = "E[value(O)] = 1 for all t; strictly-positive support = infected set"
     print(f"# {header}")
     torus = Torus(d, side)
-    events = 0
-    for trial in range(trials):
-        events += bcpp.run_coupled(lam, torus, horizon, substream(seed, "coupled", trial))
+    # one pool for both checks, the longer first-moment blocks first
+    tasks = [("first-moment", lam, torus, checkpoints, block, seed)
+             for block in _blocks(max(2000, trials), jobs)]
+    n_moment = len(tasks)
+    tasks += [("coupled", lam, torus, horizon, block, seed) for block in _blocks(trials, jobs)]
+    results = _run_tasks(tasks, jobs)
+    events = sum(results[n_moment:])
     print(f"coupling: {trials} trials, {events} events, zero support mismatches")
-    moment_trials = max(2000, trials)
-    table = bcpp.first_moment_check(lam, torus, times, moment_trials, seed)
+    table = bcpp.mean_rows(checkpoints, (row for block in results[:n_moment] for row in block))
     rows = [
         {"t": t, "mean_value_origin": m, "std_err": se,
          "z_score": (m - 1.0) / se if se > 0 else 0.0}

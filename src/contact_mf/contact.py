@@ -41,6 +41,8 @@ __all__ = [
     "summarize_survival",
     "estimate_survival",
     "DualityResult",
+    "tally_duality",
+    "summarize_duality",
     "duality_check",
     "coupled_thinning_trial",
 ]
@@ -297,6 +299,42 @@ class DualityResult:
     n_trials: int
 
 
+def tally_duality(params: ContactParams, t: float, trials: range, seed: int) -> tuple[int, int]:
+    """Run the given trial indices of the duality check on params' torus.
+
+    Returns (survived, covered): how many single-site starts live at time t
+    and how many all-infected starts then cover the origin.  As in
+    tally_survival, block tallies sum to the tally of the blocks' union.
+    """
+    torus = params.geometry
+    o = origin(params.d)
+    full = [torus.vertex(i) for i in range(torus.volume)]
+    survived = covered = 0
+    for trial in trials:
+        single = SampleSet((o,))
+        run_to_time(single, params, t, substream(seed, "single", trial))
+        survived += len(single) > 0
+        everyone = SampleSet(full)
+        run_to_time(everyone, params, t, substream(seed, "full", trial))
+        covered += o in everyone
+    return survived, covered
+
+
+def summarize_duality(survived: int, covered: int, n_trials: int) -> DualityResult:
+    """Turn the tally of n_trials trials into both proportions and their
+    pooled two-proportion z-score."""
+    if n_trials < 1:
+        raise UsageError(f"n_trials must be >= 1, got {n_trials}")
+    p1 = survived / n_trials
+    p2 = covered / n_trials
+    pooled = (survived + covered) / (2 * n_trials)
+    if pooled in (0.0, 1.0):
+        z = 0.0   # both proportions degenerate and equal
+    else:
+        z = (p1 - p2) / math.sqrt(pooled * (1.0 - pooled) * 2.0 / n_trials)
+    return DualityResult(p1, p2, z, n_trials)
+
+
 def duality_check(
     params: ContactParams,
     t: float,
@@ -313,27 +351,8 @@ def duality_check(
         raise UsageError("duality_check needs a Torus geometry")
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
-    if n_trials < 1:
-        raise UsageError(f"n_trials must be >= 1, got {n_trials}")
-    torus = params.geometry
-    o = origin(params.d)
-    full = [torus.vertex(i) for i in range(torus.volume)]
-    survived = covered = 0
-    for trial in range(n_trials):
-        single = SampleSet((o,))
-        run_to_time(single, params, t, substream(seed, "single", trial))
-        survived += len(single) > 0
-        everyone = SampleSet(full)
-        run_to_time(everyone, params, t, substream(seed, "full", trial))
-        covered += o in everyone
-    p1 = survived / n_trials
-    p2 = covered / n_trials
-    pooled = (survived + covered) / (2 * n_trials)
-    if pooled in (0.0, 1.0):
-        z = 0.0   # both proportions degenerate and equal
-    else:
-        z = (p1 - p2) / math.sqrt(pooled * (1.0 - pooled) * 2.0 / n_trials)
-    return DualityResult(p1, p2, z, n_trials)
+    counts = tally_duality(params, t, range(n_trials), seed)
+    return summarize_duality(*counts, n_trials)
 
 
 def coupled_thinning_trial(

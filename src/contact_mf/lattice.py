@@ -64,13 +64,16 @@ class Torus:
         """(volume, 2d) array: row i lists the flat indices of vertex i's
         neighbors (+axis then -axis per dimension). Used by flat-array
         simulations (bcpp) to avoid tuple arithmetic in hot loops."""
+        d = self.dimension
+        steps = [tuple(s * (a == ax) for a in range(d)) for ax in range(d) for s in (1, -1)]
+        return np.stack([self.translation(u) for u in steps], axis=1)
+
+    def translation(self, u: Vertex) -> np.ndarray:
+        """(volume,) array: entry i is the flat index of vertex i + u."""
+        if len(u) != self.dimension:
+            raise UsageError(f"offset {u} does not have dimension {self.dimension}")
         ids = np.arange(self.volume, dtype=np.int64).reshape((self.side,) * self.dimension)
-        cols = [
-            np.roll(ids, shift, axis=ax).ravel()
-            for ax in range(self.dimension)
-            for shift in (-1, 1)
-        ]
-        return np.stack(cols, axis=1)
+        return np.roll(ids, [-c for c in u], axis=tuple(range(self.dimension))).ravel()
 
 
 def origin(d: int) -> Vertex:

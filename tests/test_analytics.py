@@ -99,6 +99,17 @@ def test_reach_does_not_increase_in_level(lam, d, level):
     assert reach_probability(lam, d, level + 1) <= reach_probability(lam, d, level)
 
 
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0.05, 20.0) | st.floats(1.0 - 1e-6, 1.0 + 1e-6),
+       d=st.integers(1, 200), level=st.integers(1, 400))
+def test_reach_does_not_decrease_in_d(lam, d, level):
+    # subcritical rates, the ratio-1 degeneracy window and the infinite-d
+    # limit d=None (mu = lam, the largest up-rate) all included
+    here = reach_probability(lam, d, level)
+    assert here <= reach_probability(lam, d + 1, level)
+    assert here <= reach_probability(lam, None, level)
+
+
 def test_reach_approaches_infinite_d_formula():
     lam, k = 2.0, 6
     limit = reach_probability(lam, None, k)

@@ -10,11 +10,15 @@ point by t=10 at lam=2.  The actual gap decays like e^{-t}/2 and is still
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
-from contact_mf import analytics, cli
+from contact_mf import analytics, bcpp, cli, contact
 from contact_mf.cli import SURVIVAL_COLUMNS, ResultRow, main
+from contact_mf.errors import InvariantViolation
+from contact_mf.lattice import Torus
+from contact_mf.rng import substream
 
 _CSV_INTS = {"d", "n_censored", "K_used", "seed"}
 
@@ -309,7 +313,9 @@ def test_campaign_refuses_out_and_format(tmp_path):
     assert main(["campaign", "--config", str(cfg), "--format", "json"]) == 2
 
 
-def test_campaign_jobs_reach_sections_byte_identically(tmp_path, monkeypatch, capsys):
+def _record_pools(monkeypatch) -> list[int]:
+    """Make cli build its pools through a wrapper that logs each one's
+    worker count, and return that log."""
     pools = []
     pool_class = cli.ProcessPoolExecutor
 
@@ -318,6 +324,11 @@ def test_campaign_jobs_reach_sections_byte_identically(tmp_path, monkeypatch, ca
         return pool_class(max_workers=max_workers)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    return pools
+
+
+def test_campaign_jobs_reach_sections_byte_identically(tmp_path, monkeypatch, capsys):
+    pools = _record_pools(monkeypatch)
     blobs = []
     for jobs in ("1", "2"):
         out = tmp_path / f"survival-{jobs}.csv"
@@ -411,3 +422,82 @@ def test_bcpp_check_cli_small_torus(capsys):
                "--seed", "4"])
     assert rc == 0
     assert "zero support mismatches" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# duality and bcpp-check on the worker pool
+# ---------------------------------------------------------------------------
+
+# 150 duality trials and 30 coupled runs: 4*jobs does not divide either at
+# --jobs 2 or 3 (8 and 12 blocks), nor 2000 first-moment trials at --jobs 3
+_DUALITY = ["duality", "--lambda", "1.5", "--d", "2", "--torus-side", "6",
+            "--t", "1.0", "--trials", "150", "--seed", "9"]
+_BCPP = ["bcpp-check", "--lambda", "1.5", "--d", "1", "--torus-side", "8",
+         "--horizon", "2", "--trials", "30", "--times", "1,0.5", "--seed", "9"]
+
+
+@pytest.mark.parametrize("argv, coupling", [(_DUALITY, []), (_BCPP, ["coupling: 30 trials"])],
+                         ids=["duality", "bcpp-check"])
+def test_pool_commands_byte_identical_across_job_counts(argv, coupling, tmp_path,
+                                                        monkeypatch, capsys):
+    pools = _record_pools(monkeypatch)
+    blobs, lines = [], []
+    for i, jobs in enumerate(("1", "1", "2", "3")):
+        out = tmp_path / f"{i}-jobs-{jobs}.csv"
+        assert main(argv + ["--jobs", jobs, "--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+        lines.append(re.findall(r"coupling: .*", capsys.readouterr().out))
+    assert pools == [2, 3]    # --jobs 1 ran in process
+    assert blobs[0] == blobs[1] == blobs[2] == blobs[3]
+    assert lines[0] == lines[1] == lines[2] == lines[3]
+    assert [line.split(",")[0] for line in lines[0]] == coupling
+
+
+def test_pool_commands_match_the_one_process_library_checks(tmp_path, capsys):
+    dual, moment = tmp_path / "dual.json", tmp_path / "moment.json"
+    assert main(_DUALITY + ["--jobs", "2", "--out", str(dual), "--format", "json"]) == 0
+    assert main(_BCPP + ["--jobs", "2", "--out", str(moment), "--format", "json"]) == 0
+    coupling = re.search(r"coupling: 30 trials, (\d+) events", capsys.readouterr().out)
+    res = contact.duality_check(contact.ContactParams(1.5, 2, Torus(2, 6)), 1.0, 150, seed=9)
+    row = json.loads(dual.read_text())[0]
+    assert (row["p_single_survives"], row["p_full_covers_origin"], row["z_score"]) == (
+        res.p_single_survives, res.p_full_covers_origin, res.z_score)
+    table = bcpp.first_moment_check(1.5, Torus(1, 8), [0.5, 1.0], 2000, seed=9)
+    rows = json.loads(moment.read_text())
+    assert [(r["t"], r["mean_value_origin"], r["std_err"]) for r in rows] == table
+    events = sum(bcpp.run_coupled(1.5, Torus(1, 8), 2.0, substream(9, "coupled", k))
+                 for k in range(30))
+    assert int(coupling.group(1)) == events
+
+
+def test_pool_never_outnumbers_its_tasks(monkeypatch, capsys):
+    pools = _record_pools(monkeypatch)
+    assert main(_DUALITY + ["--trials", "2", "--jobs", "3"]) == 0
+    assert main(_DUALITY + ["--trials", "1", "--jobs", "3"]) == 0
+    assert pools == [2]       # two one-trial blocks; one block runs in process
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_DUALITY + ["--t", "-1"], "time must be >= 0"),
+    (_DUALITY + ["--trials", "0"], "n_trials must be >= 1"),
+    (_BCPP + ["--times", "-1"], "checkpoint times must be >= 0"),
+    (_BCPP + ["--horizon", "0"], "horizon must be positive"),
+], ids=["duality-t", "duality-trials", "bcpp-times", "bcpp-horizon"])
+def test_pool_commands_refuse_bad_arguments_before_any_pool(argv, message,
+                                                            monkeypatch, capsys):
+    pools = _record_pools(monkeypatch)
+    assert main(argv + ["--jobs", "2"]) == 2
+    assert message in capsys.readouterr().err
+    assert pools == []
+
+
+def test_worker_invariant_violation_exits_1(monkeypatch, capsys):
+    # patched before the pool forks, so the workers run the broken coupling
+    def mismatched(lam, torus, horizon, rng):
+        raise InvariantViolation("support mismatch after event 1 (planted)")
+
+    monkeypatch.setattr(bcpp, "run_coupled", mismatched)
+    pools = _record_pools(monkeypatch)
+    assert main(_BCPP + ["--jobs", "2"]) == 1
+    assert "support mismatch after event 1 (planted)" in capsys.readouterr().err
+    assert pools == [2]

@@ -143,6 +143,24 @@ def test_neighbor_index_table_matches_loop_reference(d, side):
     assert np.array_equal(table, ref)
 
 
+@pytest.mark.parametrize("d, side, offsets", [
+    (2, 6, [(0, 0), (1, 0), (0, -1), (2, 3), (-4, 5), (7, -13)]),
+    (3, 4, [(0, 0, 0), (1, 0, 0), (0, 0, -1), (1, -2, 3), (5, -4, -9), (-1, -1, -1)]),
+])
+def test_translation_matches_loop_reference(d, side, offsets):
+    t = Torus(d, side)
+    for u in offsets:
+        ref = np.empty(t.volume, dtype=np.int64)
+        for i in range(t.volume):
+            v = t.vertex(i)
+            ref[i] = t.index(tuple((v[k] + u[k]) % side for k in range(d)))
+        perm = t.translation(u)
+        assert perm.dtype == ref.dtype
+        assert np.array_equal(perm, ref), u
+    with pytest.raises(UsageError):
+        t.translation((1,) * (d + 1))
+
+
 def test_class_neighbor_table_row_degree():
     _, _, nbr = class_neighbor_table(3, 3)
     assert np.all((nbr >= -1) & (nbr < nbr.shape[0]))
