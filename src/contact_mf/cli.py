@@ -33,9 +33,6 @@ SURVIVAL_COLUMNS = [
     "upper_bound", "griffeath_bound", "H_estimate", "K_used", "seed",
 ]
 
-_INT_FIELDS = {"d", "n_censored", "K_used", "seed", "set_size", "n_trials", "n_walks"}
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One survival-campaign cell; field order matches SURVIVAL_COLUMNS."""
@@ -64,11 +61,9 @@ class ResultRow:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt(key: str, value) -> str:
+def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
-    if key in _INT_FIELDS or isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -77,19 +72,18 @@ def _fmt(key: str, value) -> str:
 def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
     """Write rows to --out (via a renamed temp file, never half-written) or
     echo a table to stdout, in csv or json."""
-    fmt = args.format or "csv"
     if args.out:
         tmp = f"{args.out}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
-                if fmt == "json":
+                if args.format == "json":
                     json.dump(rows, fh, indent=2)
                     fh.write("\n")
                 else:
                     fh.write(f"# {header}\n")
                     fh.write(",".join(columns) + "\n")
                     for row in rows:
-                        fh.write(",".join(_fmt(c, row[c]) for c in columns) + "\n")
+                        fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
             os.replace(tmp, args.out)
         except BaseException:
             if os.path.exists(tmp):
@@ -98,42 +92,63 @@ def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
         print(f"wrote {len(rows)} row(s) to {args.out}")
     else:
         widths = {
-            c: max(len(c), *(len(_fmt(c, r[c])) for r in rows)) if rows else len(c)
+            c: max(len(c), *(len(_fmt(r[c])) for r in rows)) if rows else len(c)
             for c in columns
         }
         print("  ".join(c.rjust(widths[c]) for c in columns))
         for row in rows:
-            print("  ".join(_fmt(c, row[c]).rjust(widths[c]) for c in columns))
+            print("  ".join(_fmt(row[c]).rjust(widths[c]) for c in columns))
 
 
 # ---------------------------------------------------------------------------
 # config / seed plumbing
 # ---------------------------------------------------------------------------
 
-def _load_section(path: str, section: str) -> dict:
+def _read_config(path: str) -> dict[str, dict]:
+    """Each section of an INI config file as a dict of its raw values."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise UsageError(f"bad config file {path}: {exc}")
-    return dict(parser[section]) if parser.has_section(section) else {}
+    return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _fill_from_config(args: argparse.Namespace, overrides: dict) -> None:
-    """Config supplies values only for flags the user left at None."""
-    for key, raw in overrides.items():
-        attr = "lam" if key == "lambda" else key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise UsageError(f"unknown config key '{key}' for command {args.command}")
-        if getattr(args, attr) is None:
-            spec = _FLAG_TYPES.get(attr, str)
-            try:
-                setattr(args, attr, spec(raw))
-            except ValueError:
-                raise UsageError(f"bad config value {key} = {raw!r}")
-    if args.format not in (None, "csv", "json"):
-        raise UsageError(f"bad config value format = {args.format!r}; use csv or json")
+def _dest(name: str) -> str:
+    return "lam" if name == "lambda" else name.replace("-", "_")
+
+
+def _convert(key: str, spec, raw: str):
+    """A config value parsed and checked like its flag: by the row's type,
+    or against its choices."""
+    if isinstance(spec, tuple):
+        if raw not in spec:
+            raise UsageError(f"bad config value {key} = {raw!r}; use {' or '.join(spec)}")
+        return raw
+    try:
+        return spec(raw)
+    except ValueError:
+        raise UsageError(f"bad config value {key} = {raw!r}")
+
+
+def _resolve(args: argparse.Namespace, section: dict) -> None:
+    """Fill each option the flags left at None: from the config section
+    (keys are flags without their dashes, '-' or '_' alike), else from the
+    option table's default."""
+    _, options = _OPTIONS[args.command]
+    rows = {flag[2:]: (spec, default) for flag, spec, default, _ in options + _COMMON}
+    values = {key.replace("_", "-"): raw for key, raw in section.items()}
+    unknown = sorted(values.keys() - rows.keys())
+    if unknown:
+        raise UsageError(f"unknown config key '{unknown[0]}' for command {args.command}")
+    for name, (spec, default) in rows.items():
+        if getattr(args, _dest(name)) is None:
+            value = _convert(name, spec, values[name]) if name in values else default
+            setattr(args, _dest(name), value)
+    if args.jobs < 1:
+        # refused here, before any walk or worker starts
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _resolve_seed(args) -> int:
@@ -168,16 +183,6 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-_FLAG_TYPES = {
-    "lam": str, "d": str, "trials": int, "horizon": float, "threshold": int,
-    "torus_side": int, "seed": int, "jobs": int, "out": str, "format": str,
-    "t": float, "t_end": float, "dt": float, "radius": int, "walks": int,
-    "max_steps": int, "method": str, "times": str, "set_size": int,
-    "bound_k": int, "level": int, "hitting": float, "h_walks": int,
-    "h_max_steps": int, "kesten": str,
-}
-
-
 # ---------------------------------------------------------------------------
 # survival campaign
 # ---------------------------------------------------------------------------
@@ -198,14 +203,10 @@ def _best_level(lam: float, d: int, hitting: float, cap: int = 200) -> tuple[int
     return best_k, best_v
 
 
-def _jobs(args) -> int:
-    return args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-
-
 def _blocks(trials: int, jobs: int) -> list[range]:
     """Trial indices 0..trials-1 cut into min(trials, 4*jobs) blocks of
     consecutive indices, small enough to even out the workers' load."""
-    n = min(trials, 4 * max(jobs, 1))
+    n = min(trials, 4 * jobs)
     return [range(trials * b // n, trials * (b + 1) // n) for b in range(n)]
 
 
@@ -265,37 +266,31 @@ def _survival_row(est: contact.SurvivalEstimate, params: contact.ContactParams,
 
 
 def cmd_survival(args) -> int:
-    lams = _float_list(args.lam if args.lam is not None else "2.0")
-    dims = _int_list(args.d if args.d is not None else "4,6,8")
-    trials = args.trials if args.trials is not None else 2000
+    trials, horizon, threshold = args.trials, args.horizon, args.threshold
     if trials < 1:
         # refused before the H walks, which take seconds to minutes
         raise UsageError(f"--trials must be >= 1, got {trials}")
-    horizon = args.horizon if args.horizon is not None else 200.0
-    threshold = args.threshold if args.threshold is not None else 500
     seed = _resolve_seed(args)
-    jobs = _jobs(args)
     header = (
         "survival sandwich: reach(level)*floor(level) - 3*sigma <= p_hat"
         " <= (lam-1)/lam + 3*sigma"
     )
     print(f"# {header}")
-    n_walks = args.h_walks if args.h_walks is not None else 200_000
-    max_steps = args.h_max_steps if args.h_max_steps is not None else 10_000
-    h_dims = sorted(set(dims))
+    h_dims = sorted(set(args.d))
     # one task list for one pool: the H walks first, as the longest tasks,
     # then every cell's trials in blocks
-    tasks = [("hitting", d, n_walks, max_steps, stream_key(seed, "hitting", d)) for d in h_dims]
+    tasks = [("hitting", d, args.h_walks, args.h_max_steps, stream_key(seed, "hitting", d))
+             for d in h_dims]
     cells = []
-    for i, lam in enumerate(lams):
-        for j, d in enumerate(dims):
+    for i, lam in enumerate(args.lam):
+        for j, d in enumerate(args.d):
             # 63-bit mask keeps the serialized per-cell seed a plain int64
             cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
             cells.append((contact.ContactParams(lam, d), cell_seed))
-    blocks = _blocks(trials, jobs)
+    blocks = _blocks(trials, args.jobs)
     for params, cell_seed in cells:
         tasks += [("trials", params, block, horizon, threshold, cell_seed) for block in blocks]
-    results = _run_tasks(tasks, jobs)
+    results = _run_tasks(tasks, args.jobs)
     hitting_by_d = dict(zip(h_dims, results))
     tallies = results[len(h_dims):]
     rows = []
@@ -319,13 +314,10 @@ def cmd_survival(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ode(args) -> int:
-    lam = float(args.lam) if args.lam is not None else 2.0
-    t_end = args.t_end if args.t_end is not None else 10.0
-    dt = args.dt if args.dt is not None else 1e-3
     header = "df/dt = -f + lam*f*(1-f), f(0) = 1; fixed point max(0, (lam-1)/lam)"
     print(f"# {header}")
-    sol = analytics.solve_mean_field_ode(lam, t_end, dt)
-    exact = analytics.mean_field_closed_form(lam, sol.times)
+    sol = analytics.solve_mean_field_ode(args.lam, args.t_end, args.dt)
+    exact = analytics.mean_field_closed_form(args.lam, sol.times)
     rows = [
         {"t": float(t), "rk4": float(v), "closed_form": float(e),
          "abs_err": abs(float(v) - float(e))}
@@ -338,9 +330,7 @@ def cmd_ode(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    lam = float(args.lam) if args.lam is not None else 2.0
-    d = int(args.d) if args.d is not None else 6
-    size = args.set_size if args.set_size is not None else 1
+    lam, d, size = args.lam, args.d, args.set_size
     level = args.level if args.level is not None else size
     header = (
         "floor(n) = n^2*(lam-1-2*lam*H) / ((n^2-n)*(lam-1)*(1-H) + 2*n*lam*(1-H));"
@@ -371,21 +361,15 @@ def cmd_bound(args) -> int:
 
 
 def cmd_hitting(args) -> int:
-    d = int(args.d) if args.d is not None else 3
-    method = args.method or "both"
+    d, method = args.d, args.method
     seed = _resolve_seed(args)
     header = "H = P(walk from e1 ever hits O); 2*d*H -> 1 in high dimension"
     print(f"# {header}")
     rows = []
-    if args.kesten:
-        dims = _int_list(args.kesten)
+    if args.kesten is not None:
         try:
-            table = walk.kesten_check(
-                dims,
-                n_walks=args.walks if args.walks is not None else 1_000_000,
-                max_steps=args.max_steps if args.max_steps is not None else 10_000,
-                seed=seed,
-            )
+            table = walk.kesten_check(args.kesten, n_walks=args.walks,
+                                      max_steps=args.max_steps, seed=seed)
         except InvariantViolation as exc:
             for dd, h, scaled, se in getattr(exc, "rows", []):
                 print(f"  d={dd}: h={h:.6f}  2dh={scaled:.4f}  se={se:.2e}")
@@ -398,38 +382,25 @@ def cmd_hitting(args) -> int:
         _emit(rows, ["d", "H", "two_d_H", "std_err"], args, header)
         return 0
     if method in ("monte-carlo", "both"):
-        est = walk.hitting_mc(
-            d,
-            n_walks=args.walks if args.walks is not None else 1_000_000,
-            max_steps=args.max_steps if args.max_steps is not None else 10_000,
-            seed=seed,
-        )
+        est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=seed)
         rows.append({
             "d": d, "method": est.method, "H": est.h,
             "std_err": est.std_err if est.std_err is not None else float("nan"),
             "bracket_low": float("nan"), "bracket_high": float("nan"),
         })
     if method in ("harmonic-solve", "both"):
-        radius = args.radius if args.radius is not None else 20
-        _, est = walk.hitting_harmonic(d, radius)
+        _, est = walk.hitting_harmonic(d, args.radius)
         rows.append({
             "d": d, "method": est.method, "H": est.h, "std_err": float("nan"),
             "bracket_low": est.bracket[0], "bracket_high": est.bracket[1],
         })
-    if not rows:
-        raise UsageError(f"unknown method {method!r}; use monte-carlo, harmonic-solve, or both")
     _emit(rows, ["d", "method", "H", "std_err", "bracket_low", "bracket_high"], args, header)
     return 0
 
 
 def cmd_duality(args) -> int:
-    lam = float(args.lam) if args.lam is not None else 1.5
-    d = int(args.d) if args.d is not None else 2
-    side = args.torus_side if args.torus_side is not None else 8
-    t = args.t if args.t is not None else 3.0
-    trials = args.trials if args.trials is not None else 10_000
+    lam, d, side, t, trials = args.lam, args.d, args.torus_side, args.t, args.trials
     seed = _resolve_seed(args)
-    jobs = _jobs(args)
     # refused here, before any worker starts
     if t < 0:
         raise UsageError(f"time must be >= 0, got {t}")
@@ -438,8 +409,8 @@ def cmd_duality(args) -> int:
     header = "P(eta_t^O nonempty) = P(eta_t^full(O) = 1) on a torus (self-duality)"
     print(f"# {header}")
     params = contact.ContactParams(lam, d, Torus(d, side))
-    tasks = [("duality", params, t, block, seed) for block in _blocks(trials, jobs)]
-    tallies = _run_tasks(tasks, jobs)
+    tasks = [("duality", params, t, block, seed) for block in _blocks(trials, args.jobs)]
+    tallies = _run_tasks(tasks, args.jobs)
     res = contact.summarize_duality(*map(sum, zip(*tallies)), trials)
     rows = [{
         "lambda": lam, "d": d, "torus_side": side, "t": t,
@@ -456,21 +427,17 @@ def cmd_duality(args) -> int:
 
 
 def cmd_bcpp_check(args) -> int:
-    lam = float(args.lam) if args.lam is not None else 1.5
-    d = int(args.d) if args.d is not None else 2
-    side = args.torus_side if args.torus_side is not None else 6
-    horizon = args.horizon if args.horizon is not None else 5.0
-    trials = args.trials if args.trials is not None else 100
-    times = _float_list(args.times) if args.times is not None else [0.5, 1.0, 2.0]
+    lam, horizon, trials, jobs = args.lam, args.horizon, args.trials, args.jobs
     seed = _resolve_seed(args)
-    jobs = _jobs(args)
     # refused here, before any worker starts
     if horizon <= 0:
         raise UsageError(f"horizon must be positive, got {horizon}")
-    checkpoints = bcpp.checkpoint_times(times)
+    if trials < 1:
+        raise UsageError(f"n_trials must be >= 1, got {trials}")
+    checkpoints = bcpp.checkpoint_times(args.times)
     header = "E[value(O)] = 1 for all t; strictly-positive support = infected set"
     print(f"# {header}")
-    torus = Torus(d, side)
+    torus = Torus(args.d, args.torus_side)
     # one pool for both checks, the longer first-moment blocks first
     tasks = [("first-moment", lam, torus, checkpoints, block, seed)
              for block in _blocks(max(2000, trials), jobs)]
@@ -494,11 +461,7 @@ def cmd_bcpp_check(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    lam = float(args.lam) if args.lam is not None else 2.0
-    d = int(args.d) if args.d is not None else 4
-    radius = args.radius if args.radius is not None else 10
-    t = args.t if args.t is not None else 1.0
-    size = args.set_size if args.set_size is not None else 3
+    lam, d, radius = args.lam, args.d, args.radius
     header = (
         "dF/dt = A F with A(h+b) = 0 on interior rows;"
         " floor(n) = n^2*b / ((n^2-n)*(H+b) + n*(1+b))"
@@ -512,7 +475,7 @@ def cmd_moments(args) -> int:
         f"(radius <= {report.interior_radius}), origin row {report.origin_row:.3e}, "
         f"boundary sup {report.sup_boundary:.3e}; b = {sv.offset:.6f}"
     )
-    table = moments.second_moment_bound_check(lam, d, radius, t, size)
+    table = moments.second_moment_bound_check(lam, d, radius, args.t, args.set_size)
     rows = [
         {"set_size": r.set_size, "lhs": r.lhs, "rhs": r.rhs,
          "cs_bound": r.cs_bound, "closed_bound": r.closed_bound}
@@ -545,24 +508,16 @@ def cmd_campaign(args) -> int:
             "campaign takes no --out or --format: one file cannot hold several "
             "sections, so set out and format inside each section"
         )
-    parser = configparser.ConfigParser()
-    try:
-        with open(args.config) as fh:
-            parser.read_file(fh)
-    except configparser.Error as exc:
-        raise UsageError(f"bad config file {args.config}: {exc}")
     worst = 0
-    for section in parser.sections():
+    for section, values in _read_config(args.config).items():
         if section not in _HANDLERS:
             raise UsageError(f"config section [{section}] is not a subcommand")
         print(f"== {section} ==")
         sub_args = _parse([section])
         # flags first, so the config's seed and jobs only fill in when absent
-        sub_args.seed = args.seed
-        sub_args.jobs = args.jobs
-        _fill_from_config(args=sub_args, overrides=dict(parser[section]))
-        code = _HANDLERS[section](sub_args)
-        worst = max(worst, code)
+        sub_args.seed, sub_args.jobs = args.seed, args.jobs
+        _resolve(sub_args, values)
+        worst = max(worst, _HANDLERS[section](sub_args))
     return worst
 
 
@@ -570,19 +525,77 @@ def cmd_campaign(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None,
-                   help="master seed (fallback: config, then CONTACT_MF_SEED, then 0)")
-    p.add_argument("--out", default=None, help="output file path (default: stdout table)")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format for --out (default csv)")
-    p.add_argument("--config", default=None,
-                   help="INI-style config; section [<subcommand>] supplies defaults")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: machine parallelism)")
+# One row per option: (flag, type or choices, default, help).  A None
+# default is left for the command to work out (seed, bound-k, hitting,
+# level) or means the option is off (out, config, kesten).
+_COMMON = [
+    ("--seed", int, None, "master seed (fallback: config, then CONTACT_MF_SEED, then 0)"),
+    ("--out", str, None, "output file path (default: stdout table)"),
+    ("--format", ("csv", "json"), "csv", "output format for --out"),
+    ("--config", str, None, "INI-style config; section [<subcommand>] supplies defaults"),
+    ("--jobs", int, os.cpu_count() or 1, "worker processes"),
+]
+
+_OPTIONS = {
+    "survival": ("survival-probability campaign over a (lambda, d) grid", [
+        ("--lambda", _float_list, (2.0,), "comma-separated infection rates"),
+        ("--d", _int_list, (4, 6, 8), "comma-separated dimensions"),
+        ("--trials", int, 2000, "trials per cell"),
+        ("--horizon", float, 200.0, "censoring time"),
+        ("--threshold", int, 500, "infected count treated as survival"),
+        ("--bound-k", int, None, "seed-set level for the lower bound (default: best level)"),
+        ("--h-walks", int, 200_000, "walks for each Monte Carlo H(d)"),
+        ("--h-max-steps", int, 10_000, "step budget of each H(d) walk"),
+    ]),
+    "ode": ("mean-field ODE vs closed form", [
+        ("--lambda", float, 2.0, "infection rate"),
+        ("--t-end", float, 10.0, "end time"),
+        ("--dt", float, 1e-3, "RK4 step"),
+    ]),
+    "bound": ("analytic survival floors for one (lambda, d)", [
+        ("--lambda", float, 2.0, "infection rate"),
+        ("--d", int, 6, "dimension"),
+        ("--hitting", float, None, "override H instead of estimating it"),
+        ("--set-size", int, 1, "seed-set size of the floor"),
+        ("--level", int, None, "seed-set level of the combined bound (default: --set-size)"),
+    ]),
+    "hitting": ("walk hitting probability H(d)", [
+        ("--d", int, 3, "dimension"),
+        ("--method", ("monte-carlo", "harmonic-solve", "both"), "both", "estimator"),
+        ("--walks", int, 1_000_000, "Monte Carlo walks"),
+        ("--max-steps", int, 10_000, "step budget of each walk"),
+        ("--radius", int, 20, "box radius of the harmonic solve"),
+        ("--kesten", _int_list, None, "comma-separated dimensions for the 2dH sweep"),
+    ]),
+    "duality": ("single-site vs all-infected agreement on a torus", [
+        ("--lambda", float, 1.5, "infection rate"),
+        ("--d", int, 2, "dimension"),
+        ("--torus-side", int, 8, "torus side length"),
+        ("--t", float, 3.0, "time of the comparison"),
+        ("--trials", int, 10_000, "paired trials"),
+    ]),
+    "bcpp-check": ("support coupling and first-moment calibration", [
+        ("--lambda", float, 1.5, "infection rate"),
+        ("--d", int, 2, "dimension"),
+        ("--torus-side", int, 6, "torus side length"),
+        ("--horizon", float, 5.0, "length of each coupled run"),
+        ("--trials", int, 100, "coupled runs"),
+        ("--times", _float_list, (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
+    ]),
+    "moments": ("correlation evolution, stationary vector, pair bounds", [
+        ("--lambda", float, 2.0, "infection rate"),
+        ("--d", int, 4, "dimension"),
+        ("--radius", int, 10, "truncation radius"),
+        ("--t", float, 1.0, "evolution time"),
+        ("--set-size", int, 3, "largest seed-set size"),
+    ]),
+    "campaign": ("run every section of a config file", []),
+}
 
 
 def _parse(argv) -> argparse.Namespace:
+    """Every argparse default is None, so _resolve can tell the flags left
+    unset; the table's defaults only show in --help."""
     top = argparse.ArgumentParser(
         prog="contact-mf",
         description=(
@@ -592,84 +605,23 @@ def _parse(argv) -> argparse.Namespace:
         ),
     )
     subs = top.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("survival", help="survival-probability campaign over a (lambda, d) grid")
-    p.add_argument("--lambda", dest="lam", default=None,
-                   help="comma-separated infection rates (default 2.0)")
-    p.add_argument("--d", default=None, help="comma-separated dimensions (default 4,6,8)")
-    p.add_argument("--trials", type=int, default=None, help="trials per cell (default 2000)")
-    p.add_argument("--horizon", type=float, default=None, help="censoring time (default 200)")
-    p.add_argument("--threshold", type=int, default=None,
-                   help="infected count treated as survival (default 500)")
-    p.add_argument("--bound-k", dest="bound_k", type=int, default=None,
-                   help="seed-set level for the lower bound (default: best level)")
-    p.add_argument("--h-walks", dest="h_walks", type=int, default=None)
-    p.add_argument("--h-max-steps", dest="h_max_steps", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("ode", help="mean-field ODE vs closed form")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("bound", help="analytic survival floors for one (lambda, d)")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--hitting", type=float, default=None,
-                   help="override H instead of estimating it")
-    p.add_argument("--set-size", dest="set_size", type=int, default=None)
-    p.add_argument("--level", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("hitting", help="walk hitting probability H(d)")
-    p.add_argument("--d", default=None)
-    p.add_argument("--method", choices=("monte-carlo", "harmonic-solve", "both"), default=None)
-    p.add_argument("--walks", type=int, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--kesten", default=None,
-                   help="comma-separated dimensions for the 2dH sweep")
-    _add_common(p)
-
-    p = subs.add_parser("duality", help="single-site vs all-infected agreement on a torus")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--torus-side", dest="torus_side", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("bcpp-check", help="support coupling and first-moment calibration")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--torus-side", dest="torus_side", type=int, default=None)
-    p.add_argument("--horizon", type=float, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--times", default=None, help="comma-separated checkpoint times")
-    _add_common(p)
-
-    p = subs.add_parser("moments", help="correlation evolution, stationary vector, pair bounds")
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--d", default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--set-size", dest="set_size", type=int, default=None)
-    _add_common(p)
-
-    p = subs.add_parser("campaign", help="run every section of a config file")
-    _add_common(p)
-
+    for command, (summary, options) in _OPTIONS.items():
+        p = subs.add_parser(command, help=summary)
+        for flag, spec, default, text in options + _COMMON:
+            kind = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
+            if default is not None:
+                shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+                text = f"{text} (default {shown})"
+            p.add_argument(flag, dest=_dest(flag[2:]), default=None, help=text, **kind)
     return top.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = _parse(argv if argv is not None else sys.argv[1:])
     try:
-        if args.config and args.command != "campaign":
-            _fill_from_config(args, _load_section(args.config, args.command))
         if args.command == "campaign":
             return cmd_campaign(args)
+        _resolve(args, _read_config(args.config).get(args.command, {}) if args.config else {})
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

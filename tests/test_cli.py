@@ -10,6 +10,7 @@ point by t=10 at lam=2.  The actual gap decays like e^{-t}/2 and is still
 import dataclasses
 import json
 import math
+import os
 import re
 
 import pytest
@@ -52,6 +53,56 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--lambda", "abc"],
+    ["bound", "--d", "2.5", "--hitting", "0.1"],
+    ["moments", "--d", "four"],
+    ["duality", "--lambda", "x"],
+    ["survival", "--d", "4,six"],
+], ids=["ode-lambda", "bound-d", "moments-d", "duality-lambda", "survival-d"])
+def test_bad_scalar_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}" in capsys.readouterr().err
+
+
+# each subcommand's options with their defaults: the command-line surface,
+# pinned so that no default drifts and no flag is dropped or added
+_COMMON_DEFAULTS = {"seed": None, "out": None, "format": "csv", "config": None,
+                    "jobs": os.cpu_count() or 1}
+_DEFAULTS = {
+    "survival": {"lam": (2.0,), "d": (4, 6, 8), "trials": 2000, "horizon": 200.0,
+                 "threshold": 500, "bound_k": None, "h_walks": 200_000,
+                 "h_max_steps": 10_000},
+    "ode": {"lam": 2.0, "t_end": 10.0, "dt": 1e-3},
+    "bound": {"lam": 2.0, "d": 6, "hitting": None, "set_size": 1, "level": None},
+    "hitting": {"d": 3, "method": "both", "walks": 1_000_000, "max_steps": 10_000,
+                "radius": 20, "kesten": None},
+    "duality": {"lam": 1.5, "d": 2, "torus_side": 8, "t": 3.0, "trials": 10_000},
+    "bcpp-check": {"lam": 1.5, "d": 2, "torus_side": 6, "horizon": 5.0, "trials": 100,
+                   "times": (0.5, 1.0, 2.0)},
+    "moments": {"lam": 2.0, "d": 4, "radius": 10, "t": 1.0, "set_size": 3},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS))
+def test_unset_options_resolve_to_their_defaults(command):
+    args = cli._parse([command])
+    cli._resolve(args, {})
+    assert vars(args) == {"command": command, **_COMMON_DEFAULTS, **_DEFAULTS[command]}
+
+
+@pytest.mark.parametrize("command", sorted(_DEFAULTS) + ["campaign"])
+def test_each_subcommand_keeps_its_flags(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+    own = {"--" + ("lambda" if k == "lam" else k.replace("_", "-"))
+           for k in _DEFAULTS.get(command, {})}
+    assert flags == own | {"--seed", "--out", "--format", "--config", "--jobs"}
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +415,28 @@ def test_unknown_config_format_exits_2(tmp_path):
     assert main(["ode", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("section", [
+    "[duality]\nlambda = x\n",
+    "[hitting]\nmethod = bogus\n",
+    "[moments]\nd = four\n",
+    "[bound]\nd = 2.5\nhitting = 0.1\n",
+    "[bcpp-check]\ntimes = 0.5,soon\n",
+], ids=["duality-lambda", "hitting-method", "moments-d", "bound-d", "bcpp-times"])
+def test_bad_config_value_exits_2(section, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(section)
+    command = section[1:section.index("]")]
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "usage error: bad config value" in capsys.readouterr().err
+
+
 def test_failed_write_keeps_previous_out_file(tmp_path, monkeypatch, capsys):
     out = tmp_path / "ode.csv"
     out.write_text("previous contents\n")
     calls = []
 
-    def failing_fmt(key, value):
-        calls.append(key)
+    def failing_fmt(value):
+        calls.append(value)
         if len(calls) > 5:
             raise RuntimeError("simulated crash mid-write")
         return str(value)
@@ -482,12 +548,28 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch, capsys):
     (_DUALITY + ["--trials", "0"], "n_trials must be >= 1"),
     (_BCPP + ["--times", "-1"], "checkpoint times must be >= 0"),
     (_BCPP + ["--horizon", "0"], "horizon must be positive"),
-], ids=["duality-t", "duality-trials", "bcpp-times", "bcpp-horizon"])
+    (_BCPP + ["--trials", "-5"], "n_trials must be >= 1"),
+], ids=["duality-t", "duality-trials", "bcpp-times", "bcpp-horizon", "bcpp-trials"])
 def test_pool_commands_refuse_bad_arguments_before_any_pool(argv, message,
                                                             monkeypatch, capsys):
     pools = _record_pools(monkeypatch)
     assert main(argv + ["--jobs", "2"]) == 2
     assert message in capsys.readouterr().err
+    assert pools == []
+
+
+def test_jobs_below_one_refused_before_any_walk_or_pool(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    pools = _record_pools(monkeypatch)
+    cfg = tmp_path / "jobs.ini"
+    cfg.write_text("[survival]\nd = 4\ntrials = 40\njobs = -3\n")
+    assert main(["survival", "--d", "4", "--trials", "40", "--jobs", "0"]) == 2
+    assert main(["survival", "--config", str(cfg)]) == 2
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    assert main(["campaign", "--config", str(cfg), "--jobs", "0"]) == 2
+    assert main(_BCPP + ["--jobs", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("usage error: --jobs must be >= 1") == 5
     assert pools == []
 
 
