@@ -45,9 +45,9 @@ def solve_mean_field_ode(lam: float, t_end: float, dt: float) -> OdeSolution:
     approximation; its fixed point max(0, (lam-1)/lam) is the survival
     probability the d->infinity limit produces.
     """
-    if lam <= 0:
+    if not (lam > 0):
         raise UsageError(f"lambda must be positive, got {lam}")
-    if t_end <= 0 or dt <= 0:
+    if not (t_end > 0 and dt > 0):
         raise UsageError("t_end and dt must be positive")
     if dt > t_end:
         raise UsageError(f"dt={dt} exceeds t_end={t_end}")
@@ -87,7 +87,7 @@ def dominating_walk_survival(lam: float) -> float:
     """Survival probability of the size-dominating asymmetric walk
     (up-probability lam/(1+lam)): max(0, (lam-1)/lam).  Upper bound for
     the contact-process survival probability at every d."""
-    if lam <= 0:
+    if not (lam > 0):
         raise UsageError(f"lambda must be positive, got {lam}")
     return max(0.0, (lam - 1.0) / lam)
 
@@ -102,7 +102,7 @@ def reach_probability(lam: float, d: int | None, level: int) -> float:
     nonpositive mu (level >= 2d at small d) -> 0 for level >= 2, since a walk
     that cannot move up never climbs.  d=None means the infinite-d limit.
     """
-    if lam <= 0:
+    if not (lam > 0):
         raise UsageError(f"lambda must be positive, got {lam}")
     if level < 1:
         raise UsageError(f"level must be >= 1, got {level}")
@@ -147,7 +147,7 @@ def second_moment_survival_bound(
     The numerator can be <= 0 at small d (H too large); then the bound is
     vacuous and reported as 0 with the flag set.
     """
-    if lam <= 1:
+    if not (lam > 1):
         raise UsageError(f"bound requires lambda > 1, got {lam}")
     if not 0.0 <= hitting < 1.0:
         raise UsageError(f"hitting probability must be in [0,1), got {hitting}")
@@ -183,7 +183,7 @@ def survival_sandwich(
     the halved value is the older coarse bound the sharp analysis
     supersedes.  lower <= upper is checked defensively.
     """
-    if lam <= 1:
+    if not (lam > 1):
         raise UsageError(f"sandwich requires lambda > 1, got {lam}")
     lower = combined_survival_bound(lam, d, hitting, level)
     upper = dominating_walk_survival(lam)

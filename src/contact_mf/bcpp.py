@@ -62,7 +62,7 @@ class BcppField:
     def __init__(self, torus: Torus, lam: float):
         if not isinstance(torus, Torus):
             raise UsageError(f"field needs a finite Torus, got {torus!r}")
-        if lam <= 0:
+        if not (lam > 0):
             raise UsageError(f"infection rate must be positive, got {lam}")
         self.torus = torus
         self.lam = lam
@@ -142,7 +142,7 @@ class BcppField:
         The total event rate does not depend on the configuration, so
         stopping and restarting the exponential clock at t_end is exact.
         """
-        if t_end < self.time:
+        if not (t_end >= self.time):
             raise UsageError(f"cannot run backwards: {t_end} < {self.time}")
         n = len(self.values)
         rate = n * (1.0 + self.lam)
@@ -207,7 +207,7 @@ def run_coupled(lam: float, torus: Torus, horizon: float, rng) -> int:
     number of events up to the horizon (the first event past it is drawn
     but neither counted nor checked).
     """
-    if horizon <= 0:
+    if not (horizon > 0):
         raise UsageError(f"horizon must be positive, got {horizon}")
     field = BcppField(torus, lam)
     infected = set(field.support)
@@ -259,7 +259,7 @@ def checkpoint_times(times) -> list[float]:
     if not all(isinstance(t, numbers.Real) for t in points):
         raise UsageError(f"checkpoint times must be real numbers, got {times!r}")
     ordered = sorted(float(t) for t in points)
-    if not ordered or ordered[0] < 0:
+    if not ordered or not all(t >= 0 for t in ordered):
         raise UsageError(f"checkpoint times must be >= 0, got {times!r}")
     return ordered
 
@@ -316,7 +316,7 @@ def pair_moment_mc(
     mean as the origin pair but much smaller variance.  Returns
     (offset, mean, std_err) rows.
     """
-    if t < 0:
+    if not (t >= 0):
         raise UsageError(f"time must be >= 0, got {t}")
     perms = [torus.translation(u) for u in offsets]
 

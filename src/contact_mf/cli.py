@@ -267,9 +267,12 @@ def _survival_row(est: contact.SurvivalEstimate, params: contact.ContactParams,
 
 def cmd_survival(args) -> int:
     trials, horizon, threshold = args.trials, args.horizon, args.threshold
+    # refused before the H walks, which take seconds to minutes
     if trials < 1:
-        # refused before the H walks, which take seconds to minutes
         raise UsageError(f"--trials must be >= 1, got {trials}")
+    if not (horizon > 0) or threshold < 1 or (args.bound_k is not None and args.bound_k < 1):
+        raise UsageError(f"need --horizon > 0, --threshold >= 1 and --bound-k >= 1, got "
+                         f"{horizon}, {threshold} and {args.bound_k}")
     seed = _resolve_seed(args)
     header = (
         "survival sandwich: reach(level)*floor(level) - 3*sigma <= p_hat"
@@ -402,7 +405,7 @@ def cmd_duality(args) -> int:
     lam, d, side, t, trials = args.lam, args.d, args.torus_side, args.t, args.trials
     seed = _resolve_seed(args)
     # refused here, before any worker starts
-    if t < 0:
+    if not (t >= 0):
         raise UsageError(f"time must be >= 0, got {t}")
     if trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {trials}")
@@ -430,7 +433,7 @@ def cmd_bcpp_check(args) -> int:
     lam, horizon, trials, jobs = args.lam, args.horizon, args.trials, args.jobs
     seed = _resolve_seed(args)
     # refused here, before any worker starts
-    if horizon <= 0:
+    if not (horizon > 0):
         raise UsageError(f"horizon must be positive, got {horizon}")
     if trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {trials}")
@@ -462,6 +465,11 @@ def cmd_bcpp_check(args) -> int:
 
 def cmd_moments(args) -> int:
     lam, d, radius = args.lam, args.d, args.radius
+    # refused here, before the solve
+    if not 0 <= args.t < float("inf"):
+        raise UsageError(f"--t must be finite and >= 0, got {args.t}")
+    if not 1 <= args.set_size < radius:
+        raise UsageError(f"--set-size must be in [1, --radius), got {args.set_size}")
     header = (
         "dF/dt = A F with A(h+b) = 0 on interior rows;"
         " floor(n) = n^2*b / ((n^2-n)*(H+b) + n*(1+b))"

@@ -44,7 +44,6 @@ __all__ = [
     "tally_duality",
     "summarize_duality",
     "duality_check",
-    "coupled_thinning_trial",
 ]
 
 EXTINCT = "extinct"
@@ -68,7 +67,7 @@ class ContactParams:
         # lam == 0 is the pure-death process (recovery only) and is a
         # legitimate boundary case for the simulator; only negative rates
         # are rejected.  Analytic bounds have their own stricter domains.
-        if self.lam < 0:
+        if not (self.lam >= 0):
             raise UsageError(f"infection rate must be nonnegative, got {self.lam}")
         if not isinstance(self.d, int) or self.d < 1:
             raise UsageError(f"dimension must be a positive integer, got {self.d!r}")
@@ -147,7 +146,7 @@ def run_trial(
     the horizon is the pre-event one).  A SampleSet start is advanced in
     place; threshold math.inf runs to the horizon or extinction.
     """
-    if horizon <= 0 or threshold < 1:
+    if not (horizon > 0) or threshold < 1:
         raise UsageError("horizon must be positive and threshold >= 1")
     state = initial if isinstance(initial, SampleSet) else SampleSet(initial)
     rate_per_site = 1.0 + params.lam
@@ -202,7 +201,7 @@ def run_to_time(state: SampleSet, params: ContactParams, duration: float, rng) -
     cross the end point is not applied (memorylessness makes the early
     cutoff exact).
     """
-    if duration < 0:
+    if not (duration >= 0):
         raise UsageError(f"duration must be >= 0, got {duration}")
     if duration > 0:
         run_trial(state, params, duration, math.inf, rng)
@@ -349,63 +348,8 @@ def duality_check(
     """
     if params.geometry is None:
         raise UsageError("duality_check needs a Torus geometry")
-    if t < 0:
+    if not (t >= 0):
         raise UsageError(f"time must be >= 0, got {t}")
     counts = tally_duality(params, t, range(n_trials), seed)
     return summarize_duality(*counts, n_trials)
 
-
-def coupled_thinning_trial(
-    lam_lo: float,
-    lam_hi: float,
-    d: int,
-    horizon: float,
-    rng,
-    geometry: Torus | None = None,
-) -> bool:
-    """Run processes at two infection rates on one event stream.
-
-    The master stream drives the lam_hi process; the lam_lo process
-    accepts an infection attempt only when its own source is infected and
-    an extra coin with success lam_lo/lam_hi comes up — which thins the
-    attempt rate to exactly lam_lo/(2d) per (source, target) pair while
-    recoveries are shared.  Started from the same set, the lam_lo
-    configuration then stays inside the lam_hi one; returns True when
-    that containment held at every event.  Used by tests as a
-    monotonicity certificate.
-    """
-    if not 0 < lam_lo <= lam_hi:
-        raise UsageError("need 0 < lam_lo <= lam_hi")
-    params_hi = ContactParams(lam_hi, d, geometry)
-    o = origin(d)
-    lo = SampleSet((o,))
-    hi = SampleSet((o,))
-    rate_per_site = 1.0 + lam_hi
-    accept = lam_lo / lam_hi
-    t = 0.0
-    geo = params_hi.geometry
-    while len(hi):
-        dt = rng.expovariate(len(hi) * rate_per_site)
-        if t + dt > horizon:
-            break
-        t += dt
-        if rng.random() * rate_per_site < 1.0:
-            x = hi.choose(rng)
-            hi.discard(x)
-            lo.discard(x)
-        else:
-            x = hi.choose(rng)
-            k = rng.randrange(2 * d)
-            axis = k >> 1
-            delta = 1 - 2 * (k & 1)
-            if geo is None:
-                y = x[:axis] + (x[axis] + delta,) + x[axis + 1:]
-            else:
-                y = x[:axis] + ((x[axis] + delta) % geo.side,) + x[axis + 1:]
-            hi.add(y)
-            if x in lo and rng.random() < accept:
-                lo.add(y)
-        for v in lo.items:
-            if v not in hi:
-                return False
-    return True

@@ -15,6 +15,7 @@ space and its adjacency once per process; the cached table is read-only.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -158,3 +159,19 @@ def class_neighbor_table(
     nbr.setflags(write=False)
     classes = list(map(tuple, reps.tolist()))
     return classes, {c: i for i, c in enumerate(classes)}, nbr
+
+
+def class_orbit_sizes(classes: list[Vertex]) -> np.ndarray:
+    """Orbit size of each canonical class, d! * 2^(nonzero entries) /
+    prod(run length)!.  The class walk operator is self-adjoint in the
+    inner product sum_c w_c x_c y_c: w_c times the rate from c to c'
+    counts the lattice edges between the two orbits."""
+    reps = np.asarray(classes, dtype=np.int64).reshape(len(classes), -1)
+    d = reps.shape[1]
+    # position within its run of equal entries; the product over a row is
+    # prod(run length)!, because canonical classes are sorted
+    place = np.ones_like(reps)
+    for j in range(1, d):
+        place[:, j] = np.where(reps[:, j] == reps[:, j - 1], place[:, j - 1] + 1, 1)
+    nonzero = (reps > 0).sum(axis=1)
+    return math.factorial(d) * np.exp2(nonzero) / place.prod(axis=1, dtype=np.float64)

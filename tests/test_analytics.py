@@ -1,5 +1,7 @@
 """Closed-form layer: ODE integration and the survival bound arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,9 @@ def test_ode_rejects_bad_steps():
         solve_mean_field_ode(2.0, 1.0, 2.0)
     with pytest.raises(UsageError):
         solve_mean_field_ode(-1.0, 1.0, 0.1)
+    for args in ((math.nan, 1.0, 0.1), (2.0, math.nan, 0.1), (2.0, 1.0, math.nan)):
+        with pytest.raises(UsageError):
+            solve_mean_field_ode(*args)
 
 
 # ------------------------------------------------------ dominating walk

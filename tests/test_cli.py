@@ -222,6 +222,16 @@ def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
     assert "--trials must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--horizon", "-1"), ("--horizon", "nan"), ("--threshold", "0"), ("--bound-k", "0"),
+], ids=["horizon-negative", "horizon-nan", "threshold", "bound-k"])
+def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, monkeypatch, capsys):
+    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(cli.contact, "tally_survival", lambda *a: pytest.fail("ran trials"))
+    assert main(["survival", "--d", "4", "--trials", "5", "--jobs", "1", flag, value]) == 2
+    assert "need --horizon > 0, --threshold >= 1 and --bound-k >= 1" in capsys.readouterr().err
+
+
 def test_subcritical_grid_reports_all_zero(capsys):
     rc = main(["survival", "--lambda", "0.8", "--d", "2,6", "--trials", "400",
                "--seed", "1", "--h-walks", "2000", "--h-max-steps", "300",
@@ -459,6 +469,20 @@ def test_moments_vacuous_dimension_exits_3(capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--set-size", "0"], "--set-size must be in [1, --radius)"),
+    (["--set-size", "6"], "--set-size must be in [1, --radius)"),
+    (["--t", "nan"], "--t must be finite and >= 0"),
+    (["--t", "-1"], "--t must be finite and >= 0"),
+    (["--t", "inf"], "--t must be finite and >= 0"),
+    (["--lambda", "nan"], "infection rate must be positive"),
+], ids=["set-size-0", "set-size-radius", "t-nan", "t-negative", "t-inf", "lambda-nan"])
+def test_moments_refuses_bad_arguments_before_the_solve(flags, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli.moments, "absorbing_solve", lambda *a: pytest.fail("solved"))
+    assert main(["moments", "--d", "4", "--radius", "6"] + flags) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_moments_cli_reports_bound_table(capsys):
     rc = main(["moments", "--lambda", "2", "--d", "4", "--radius", "8",
                "--t", "0.5", "--set-size", "2"])
@@ -500,6 +524,23 @@ _DUALITY = ["duality", "--lambda", "1.5", "--d", "2", "--torus-side", "6",
             "--t", "1.0", "--trials", "150", "--seed", "9"]
 _BCPP = ["bcpp-check", "--lambda", "1.5", "--d", "1", "--torus-side", "8",
          "--horizon", "2", "--trials", "30", "--times", "1,0.5", "--seed", "9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--lambda", "nan"],
+    ["ode", "--t-end", "nan"],
+    ["ode", "--dt", "nan"],
+    ["bound", "--lambda", "nan", "--hitting", "0.1"],
+    ["survival", "--lambda", "nan", "--d", "4", "--trials", "5"],
+    _DUALITY + ["--lambda", "nan"],
+    _BCPP + ["--lambda", "nan"],
+    _BCPP + ["--times", "1,nan"],
+], ids=["ode-lambda", "ode-t-end", "ode-dt", "bound-lambda", "survival-lambda",
+        "duality-lambda", "bcpp-lambda", "bcpp-times"])
+def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    assert main(argv + ["--jobs", "1"]) == 2
+    assert "usage error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, coupling", [(_DUALITY, []), (_BCPP, ["coupling: 30 trials"])],
@@ -545,11 +586,14 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (_DUALITY + ["--t", "-1"], "time must be >= 0"),
+    (_DUALITY + ["--t", "nan"], "time must be >= 0"),
     (_DUALITY + ["--trials", "0"], "n_trials must be >= 1"),
     (_BCPP + ["--times", "-1"], "checkpoint times must be >= 0"),
     (_BCPP + ["--horizon", "0"], "horizon must be positive"),
+    (_BCPP + ["--horizon", "nan"], "horizon must be positive"),
     (_BCPP + ["--trials", "-5"], "n_trials must be >= 1"),
-], ids=["duality-t", "duality-trials", "bcpp-times", "bcpp-horizon", "bcpp-trials"])
+], ids=["duality-t", "duality-t-nan", "duality-trials", "bcpp-times", "bcpp-horizon",
+        "bcpp-horizon-nan", "bcpp-trials"])
 def test_pool_commands_refuse_bad_arguments_before_any_pool(argv, message,
                                                             monkeypatch, capsys):
     pools = _record_pools(monkeypatch)

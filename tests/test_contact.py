@@ -12,7 +12,6 @@ from contact_mf.contact import (
     REACHED_THRESHOLD,
     ContactParams,
     SampleSet,
-    coupled_thinning_trial,
     duality_check,
     estimate_survival,
     run_to_time,
@@ -255,9 +254,67 @@ def test_duality_needs_torus_and_nonnegative_time():
         duality_check(ContactParams(1.5, 2), 1.0, 10, seed=0)
     with pytest.raises(UsageError):
         duality_check(ContactParams(1.5, 2, Torus(2, 6)), -1.0, 10, seed=0)
+    with pytest.raises(UsageError):
+        duality_check(ContactParams(1.5, 2, Torus(2, 6)), math.nan, 10, seed=0)
 
 
 # ------------------------------------------------------------- coupling
+
+def coupled_thinning_trial(
+    lam_lo: float,
+    lam_hi: float,
+    d: int,
+    horizon: float,
+    rng,
+    geometry: Torus | None = None,
+) -> bool:
+    """Run processes at two infection rates on one event stream.
+
+    The master stream drives the lam_hi process; the lam_lo process
+    accepts an infection attempt only when its own source is infected and
+    an extra coin with success lam_lo/lam_hi comes up — which thins the
+    attempt rate to exactly lam_lo/(2d) per (source, target) pair while
+    recoveries are shared.  Started from the same set, the lam_lo
+    configuration then stays inside the lam_hi one; returns True when
+    that containment held at every event, a certificate that survival is
+    monotone in the infection rate.
+    """
+    if not 0 < lam_lo <= lam_hi:
+        raise UsageError("need 0 < lam_lo <= lam_hi")
+    params_hi = ContactParams(lam_hi, d, geometry)
+    o = origin(d)
+    lo = SampleSet((o,))
+    hi = SampleSet((o,))
+    rate_per_site = 1.0 + lam_hi
+    accept = lam_lo / lam_hi
+    t = 0.0
+    geo = params_hi.geometry
+    while len(hi):
+        dt = rng.expovariate(len(hi) * rate_per_site)
+        if t + dt > horizon:
+            break
+        t += dt
+        if rng.random() * rate_per_site < 1.0:
+            x = hi.choose(rng)
+            hi.discard(x)
+            lo.discard(x)
+        else:
+            x = hi.choose(rng)
+            k = rng.randrange(2 * d)
+            axis = k >> 1
+            delta = 1 - 2 * (k & 1)
+            if geo is None:
+                y = x[:axis] + (x[axis] + delta,) + x[axis + 1:]
+            else:
+                y = x[:axis] + ((x[axis] + delta) % geo.side,) + x[axis + 1:]
+            hi.add(y)
+            if x in lo and rng.random() < accept:
+                lo.add(y)
+        for v in lo.items:
+            if v not in hi:
+                return False
+    return True
+
 
 def test_thinning_containment_holds():
     for trial in range(100):

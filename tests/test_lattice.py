@@ -13,6 +13,7 @@ from contact_mf.lattice import (
     canonical_classes,
     canonicalize,
     class_neighbor_table,
+    class_orbit_sizes,
     neighbors,
     origin,
     random_neighbor,
@@ -120,6 +121,21 @@ def test_class_neighbor_table_matches_nested_loop_reference(d, m):
     assert index == ref_index
     assert nbr.dtype == ref_nbr.dtype
     assert np.array_equal(nbr, ref_nbr)
+
+
+@pytest.mark.parametrize("d, radius", [(1, 5), (2, 4), (3, 6), (4, 5), (6, 10)])
+def test_orbit_sizes_sum_to_the_box_volume(d, radius):
+    classes = class_neighbor_table(d, radius - 1)[0]
+    assert class_orbit_sizes(classes).sum() == (2 * radius - 1) ** d
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 2), (4, 2)])
+def test_orbit_sizes_count_the_box_vertices_of_each_class(d, m):
+    counts = {}
+    for v in itertools.product(range(-m, m + 1), repeat=d):
+        counts[canonicalize(v)] = counts.get(canonicalize(v), 0) + 1
+    classes = class_neighbor_table(d, m)[0]
+    assert class_orbit_sizes(classes).tolist() == [counts[c] for c in classes]
 
 
 def test_class_neighbor_table_is_cached_and_read_only():

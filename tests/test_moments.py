@@ -12,6 +12,7 @@ from contact_mf.moments import (
     stationary_residual,
     verify_stationary,
 )
+from contact_mf.lattice import class_orbit_sizes
 from contact_mf.walk import absorbing_solve, hitting_harmonic
 
 
@@ -36,7 +37,47 @@ def test_generator_rejects_mismatched_vector():
     with pytest.raises(UsageError):
         CorrelationGenerator(0.0, 3, radius=6)
     with pytest.raises(UsageError):
+        CorrelationGenerator(float("nan"), 3, radius=6)
+    with pytest.raises(UsageError):
         CorrelationGenerator(2.0, 3, radius=1)
+
+
+@pytest.mark.parametrize("lam, d, radius", [(0.5, 2, 6), (2.0, 3, 6), (1.6, 4, 5), (3.0, 6, 4)])
+def test_generator_is_self_adjoint_in_the_orbit_weights(lam, d, radius):
+    gen = CorrelationGenerator(lam, d, radius)
+    w = class_orbit_sizes(gen.classes)
+    rng = np.random.default_rng(7)
+    x, y = rng.standard_normal((2, gen.n))
+    ax, ay = gen.apply(x), gen.apply(y)
+    scale = np.sqrt((w * x * x).sum() * (w * y * y).sum()) * 4 * lam
+    assert abs((w * x * ay).sum() - (w * ax * y).sum()) <= 1e-14 * scale
+    # the weights are what makes it so: the plain dot product sees no symmetry
+    assert abs(x @ ay - ax @ y) > 1e-3 * np.sqrt((x @ x) * (y @ y))
+
+
+def _dense_evolution(gen, t):
+    """exp(tA) 1 from the eigendecomposition of the symmetric W^1/2 A W^-1/2."""
+    root_w = np.sqrt(class_orbit_sizes(gen.classes))
+    a = np.column_stack([gen.apply(e) for e in np.eye(gen.n)])
+    sym = root_w[:, None] * a / root_w[None, :]
+    assert np.abs(sym - sym.T).max() < 1e-13
+    eig, vec = np.linalg.eigh(sym)
+    return vec @ (np.exp(t * eig) * (vec.T @ root_w)) / root_w
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 12.0])   # 12 runs in several stages
+def test_evolution_matches_dense_eigendecomposition(t):
+    gen = CorrelationGenerator(2.0, 3, radius=6)
+    exact = _dense_evolution(gen, t)
+    values = evolve_correlations(gen, t).values
+    assert np.max(np.abs(values - exact)) <= 1e-11 * np.max(exact)
+
+
+def test_evolution_rejects_bad_times():
+    gen = CorrelationGenerator(2.0, 3, radius=6)
+    for t in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(UsageError):
+            evolve_correlations(gen, t)
 
 
 def test_evolution_at_time_zero_is_identity():

@@ -11,10 +11,12 @@ has a slowly decaying 1/d correction); they fail by design and are
 expected failures of record, not regressions.
 """
 
+import numpy as np
 import pytest
 
 from contact_mf import walk
 from contact_mf.errors import InvariantViolation, NumericalError, UsageError
+from contact_mf.lattice import class_neighbor_table, origin
 from contact_mf.walk import (
     absorbing_solve,
     hitting_harmonic,
@@ -88,9 +90,32 @@ def test_harmonic_lower_bound_grows_with_radius():
 def test_absorbing_solve_is_positional_and_raises_on_stall(monkeypatch):
     with pytest.raises(TypeError):
         absorbing_solve(d=3, radius=6)      # one spelling, so one cache entry
-    monkeypatch.setattr(walk, "SOLVE_MAX_SWEEPS", 2)
+    monkeypatch.setattr(walk, "SOLVE_MAX_ITERATIONS", 2)
     with pytest.raises(NumericalError, match="stalled"):
         absorbing_solve.__wrapped__(3, 6)   # uncached, so the cap applies
+
+
+def _dense_dirichlet(d, radius):
+    """The class Dirichlet system written out as a dense matrix and solved
+    directly: h(O) = 1, every other row h = neighbor average."""
+    classes, index, nbr = class_neighbor_table(d, radius - 1)
+    n, o = len(classes), index[origin(d)]
+    system = np.eye(n)
+    for i in range(n):
+        for j in nbr[i]:
+            if i != o and j >= 0:
+                system[i, j] -= 1.0 / (2 * d)
+    return np.linalg.solve(system, np.eye(n)[o])
+
+
+@pytest.mark.parametrize("d, radius", [(3, 6), (4, 5)])
+def test_absorbing_solve_sits_just_below_the_dense_solution(d, radius):
+    classes, h = absorbing_solve(d, radius)
+    exact = _dense_dirichlet(d, radius)
+    assert classes == class_neighbor_table(d, radius - 1)[0]
+    assert h[classes.index(origin(d))] == 1.0
+    assert np.all(h <= exact)                 # still a lower bound
+    assert np.max(exact - h) <= 1e-10
 
 
 def test_kesten_table_monotone_in_dimension():
