@@ -21,7 +21,6 @@ The exponential is multiplicative over time splits, so laziness is exact.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
@@ -30,7 +29,7 @@ from math import exp, log
 import numpy as np
 
 from .errors import InvariantViolation, UsageError
-from .lattice import Torus, origin
+from .lattice import Torus, flat_neighbors, origin
 from .rng import substream
 
 __all__ = [
@@ -44,11 +43,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@functools.lru_cache(maxsize=8)
-def _neighbor_lists(torus: Torus) -> list[list[int]]:  # shared by fields: read-only
-    return torus.neighbor_index_table().tolist()
 
 
 class BcppField:
@@ -71,7 +65,7 @@ class BcppField:
         self.last: list[float] = [0.0] * n
         self.time = 0.0
         self.support: set[int] = set(range(n))
-        self._nbrs = _neighbor_lists(torus)
+        self._nbrs = flat_neighbors(torus)
         self._decay = 1.0 - lam
         self._deg = 2 * torus.dimension
         self._underflow_count = 0
@@ -114,7 +108,7 @@ class BcppField:
                 values[x] = 0.0
                 self.support.discard(x)
             return x, None
-        y = self._nbrs[x][rng.randrange(self._deg)]
+        y = self._nbrs[x * self._deg + rng.randrange(self._deg)]
         dr = self._decay
         last = self.last
         vx = values[x]
@@ -176,7 +170,7 @@ class BcppField:
                 k = bits(deg_bits)
                 while k >= deg:
                     k = bits(deg_bits)
-                y = nbrs[x][k]
+                y = nbrs[x * deg + k]
                 vx = values[x]
                 if vx > 0.0:
                     vx *= exp(dr * (t - last[x]))

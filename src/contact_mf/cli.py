@@ -433,6 +433,8 @@ def cmd_bcpp_check(args) -> int:
     lam, horizon, trials, jobs = args.lam, args.horizon, args.trials, args.jobs
     seed = _resolve_seed(args)
     # refused here, before any worker starts
+    if not (lam > 0):
+        raise UsageError(f"infection rate must be positive, got {lam}")
     if not (horizon > 0):
         raise UsageError(f"horizon must be positive, got {horizon}")
     if trials < 1:

@@ -14,17 +14,24 @@ Trials run until extinction, until the infected count reaches a threshold
 (a proxy for survival: from a large set at lam > 1 dying out is
 exponentially unlikely in the threshold), or until a time horizon censors
 them.
+
+Vertices are tuples at the API and ints inside `run_trial`: on Z^d one
+signed 32-bit field per coordinate, so a neighbor is x + step[k]; on a
+torus the flat index, so a neighbor is a `lattice.flat_neighbors` lookup.
+Only an addition puts a site further out, by one step, so a budget of
+additions keeps every |coordinate| below CODE_LIMIT, or raises NumericalError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import log
 
 from .analytics import threshold_error_bound
-from .errors import UsageError
-from .lattice import Torus, Vertex, origin
+from .errors import NumericalError, UsageError
+from .lattice import Torus, Vertex, check_dimension, flat_neighbors, origin
 from .rng import substream
 
 __all__ = [
@@ -49,6 +56,7 @@ __all__ = [
 EXTINCT = "extinct"
 REACHED_THRESHOLD = "reached_threshold"
 CENSORED = "censored"
+CODE_LIMIT = 2**30   # bound on |coordinate| inside run_trial
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,15 @@ class TrialOutcome:
     event_count: int
 
 
+def _encode(v: Vertex) -> int:
+    return functools.reduce(lambda code, c: (code << 32) + c, v, 0)
+
+
+def _decode(code: int, d: int) -> Vertex:
+    code += sum(2**31 << 32 * a for a in range(d))   # every field now in [0, 2^32)
+    return tuple(((code >> 32 * a) & (2**32 - 1)) - 2**31 for a in reversed(range(d)))
+
+
 def run_trial(
     initial,
     params: ContactParams,
@@ -144,54 +161,73 @@ def run_trial(
     each event: extinction, threshold reached, horizon crossed (the
     pending event would fire after the horizon, so the configuration at
     the horizon is the pre-event one).  A SampleSet start is advanced in
-    place; threshold math.inf runs to the horizon or extinction.
+    place, wrapped on a torus; threshold math.inf runs to the horizon or
+    extinction.
     """
     if not (horizon > 0) or threshold < 1:
         raise UsageError("horizon must be positive and threshold >= 1")
-    state = initial if isinstance(initial, SampleSet) else SampleSet(initial)
-    rate_per_site = 1.0 + params.lam
     d2 = 2 * params.d
     d2_bits = d2.bit_length()
     geo = params.geometry
-    side = geo.side if geo is not None else 0
+    start = list(initial)
+    for v in start:
+        check_dimension(v, params.d)
+    if geo is None:
+        far = max((abs(c) for v in start for c in v), default=0)
+        if far >= CODE_LIMIT:
+            raise UsageError(f"start coordinates must be below {CODE_LIMIT} in size, got {far}")
+        budget = CODE_LIMIT - 1 - far   # an addition goes one step past its source
+        nbr, code, decode = None, _encode, functools.partial(_decode, d=params.d)
+        step = [s << 32 * (params.d - 1 - axis) for axis in range(params.d) for s in (1, -1)]
+    else:
+        budget, step, nbr = math.inf, None, flat_neighbors(geo)
+        code, decode = geo.index, geo.vertex
+    items = list(dict.fromkeys(map(code, start)))   # SampleSet(start)'s order
+    pos = {x: j for j, x in enumerate(items)}
+    rate_per_site = 1.0 + params.lam
     t = 0.0
     events = 0
-    max_size = len(state)
+    max_size = len(items)
     # rng.expovariate and rng.randrange inlined: the same draws, in order
     uniform = rng.random
     bits = rng.getrandbits
-    items = state.items
     while True:
         n = len(items)
-        if n == 0:
-            return TrialOutcome(EXTINCT, t, max_size, events)
-        if n >= threshold:
-            return TrialOutcome(REACHED_THRESHOLD, None, max_size, events)
+        if n == 0 or n >= threshold:
+            break
         dt = -log(1.0 - uniform()) / (n * rate_per_site)
         if t + dt > horizon:
-            return TrialOutcome(CENSORED, None, max_size, events)
+            break
         t += dt
         events += 1
         recovery = uniform() * rate_per_site < 1.0
         i = bits(n.bit_length())
         while i >= n:
             i = bits(n.bit_length())
-        if recovery:
-            state.discard(items[i])
+        if recovery:   # SampleSet.discard: the last item fills the gap
+            x, items[i] = items[i], items[-1]
+            pos[items[i]] = i
+            items.pop()
+            del pos[x]
         else:
-            x = items[i]
             k = bits(d2_bits)
             while k >= d2:
                 k = bits(d2_bits)
-            axis = k >> 1
-            delta = 1 - 2 * (k & 1)
-            if geo is None:
-                y = x[:axis] + (x[axis] + delta,) + x[axis + 1:]
-            else:
-                y = x[:axis] + ((x[axis] + delta) % side,) + x[axis + 1:]
-            state.add(y)
-            if len(items) > max_size:
-                max_size = len(items)
+            y = items[i] + step[k] if nbr is None else nbr[items[i] * d2 + k]
+            if y not in pos:   # SampleSet.add
+                budget -= 1
+                if budget < 0:
+                    raise NumericalError(f"additions spent: a coordinate could reach {CODE_LIMIT}")
+                pos[y] = n
+                items.append(y)
+                if n >= max_size:
+                    max_size = n + 1
+    if isinstance(initial, SampleSet):
+        initial.items[:] = map(decode, items)
+        initial._pos = {v: j for j, v in enumerate(initial.items)}
+    if n == 0:
+        return TrialOutcome(EXTINCT, t, max_size, events)
+    return TrialOutcome(REACHED_THRESHOLD if n >= threshold else CENSORED, None, max_size, events)
 
 
 def run_to_time(state: SampleSet, params: ContactParams, duration: float, rng) -> None:

@@ -1,9 +1,9 @@
 """Geometry of Z^d and its periodic quotients.
 
-Vertices are plain tuples of ints carrying their own dimension, so one
-process can run simulations at several d simultaneously.  A `Torus`
-wraps coordinates modulo its side; `geometry=None` everywhere means the
-infinite lattice.
+Vertices are plain tuples of ints carrying their own dimension (only the
+contact event loop codes them as ints, inside its body), so one process
+can run simulations at several d simultaneously.  A `Torus` wraps
+coordinates modulo its side; `geometry=None` means the infinite lattice.
 
 Hyperoctahedrally-symmetric functions (hitting probabilities,
 pair-correlation fields) are stored per canonical class: the
@@ -77,6 +77,12 @@ class Torus:
         return np.roll(ids, [-c for c in u], axis=tuple(range(self.dimension))).ravel()
 
 
+@functools.lru_cache(maxsize=8)
+def flat_neighbors(torus: Torus) -> tuple[int, ...]:
+    """Entry x*2d + k is neighbor k of flat vertex x; cached, shared, read-only."""
+    return tuple(torus.neighbor_index_table().ravel().tolist())
+
+
 def origin(d: int) -> Vertex:
     return (0,) * d
 
@@ -107,16 +113,6 @@ def neighbors(v: Vertex, geometry: Torus | None = None) -> list[Vertex]:
         out.append(v[:i] + (c + 1,) + v[i + 1 :])
         out.append(v[:i] + (c - 1,) + v[i + 1 :])
     return out
-
-
-def random_neighbor(v: Vertex, rng, geometry: Torus | None = None) -> Vertex:
-    """One uniformly chosen neighbor; O(d) and allocation-light."""
-    k = rng.randrange(2 * len(v))
-    axis, sign = k >> 1, 1 - 2 * (k & 1)
-    c = v[axis] + sign
-    if geometry is not None:
-        c %= geometry.side
-    return v[:axis] + (c,) + v[axis + 1 :]
 
 
 def canonicalize(v: Vertex) -> Vertex:

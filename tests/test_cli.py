@@ -592,8 +592,10 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch, capsys):
     (_BCPP + ["--horizon", "0"], "horizon must be positive"),
     (_BCPP + ["--horizon", "nan"], "horizon must be positive"),
     (_BCPP + ["--trials", "-5"], "n_trials must be >= 1"),
+    (_BCPP + ["--lambda", "nan"], "infection rate must be positive, got nan"),
+    (_BCPP + ["--lambda", "0"], "infection rate must be positive, got 0"),
 ], ids=["duality-t", "duality-t-nan", "duality-trials", "bcpp-times", "bcpp-horizon",
-        "bcpp-horizon-nan", "bcpp-trials"])
+        "bcpp-horizon-nan", "bcpp-trials", "bcpp-lambda-nan", "bcpp-lambda-zero"])
 def test_pool_commands_refuse_bad_arguments_before_any_pool(argv, message,
                                                             monkeypatch, capsys):
     pools = _record_pools(monkeypatch)

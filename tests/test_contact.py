@@ -4,14 +4,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contact_mf import contact
 from contact_mf.analytics import threshold_error_bound
 from contact_mf.contact import (
     CENSORED,
+    CODE_LIMIT,
     EXTINCT,
     REACHED_THRESHOLD,
     ContactParams,
     SampleSet,
+    TrialOutcome,
+    _decode,
+    _encode,
     duality_check,
     estimate_survival,
     run_to_time,
@@ -19,8 +26,8 @@ from contact_mf.contact import (
     summarize_survival,
     tally_survival,
 )
-from contact_mf.errors import UsageError
-from contact_mf.lattice import Torus, origin
+from contact_mf.errors import NumericalError, UsageError
+from contact_mf.lattice import Torus, neighbors, origin
 from contact_mf.rng import substream
 
 O3 = origin(3)
@@ -86,6 +93,26 @@ def test_single_event_outcome_matches_recovery_share():
     mean = sum(extinct_times) / len(extinct_times)
     expected = 1 / (1 + lam)
     assert abs(mean - expected) < 3 * expected / math.sqrt(len(extinct_times))
+
+
+def test_first_infection_picks_a_uniform_neighbor():
+    # threshold 2 stops a single-site trial at its first infection, so the
+    # site it adds is the kernel's neighbor draw
+    params = ContactParams(2.0, 3)
+    counts = {}
+    n = 0
+    for trial in range(9000):
+        state = SampleSet([O3])
+        if run_trial(state, params, 100.0, 2, substream(9, "neighbor", trial)).verdict == EXTINCT:
+            continue
+        y = state.items[1]
+        counts[y] = counts.get(y, 0) + 1
+        n += 1
+    assert set(counts) == set(neighbors(O3))
+    p = 1 / 6
+    bound = 3 * math.sqrt(p * (1 - p) / n)
+    for c in counts.values():
+        assert abs(c / n - p) < bound
 
 
 def test_pure_death_extinction_time_is_harmonic_number():
@@ -339,3 +366,151 @@ def test_run_to_time_zero_duration_is_identity():
     assert s.as_set() == {O3}
     with pytest.raises(UsageError):
         run_to_time(s, ContactParams(2.0, 3), -1.0, random.Random(0))
+
+
+# ------------------------------------------------- the int-coded kernel
+
+def reference_trial(initial, params, horizon, threshold, rng) -> TrialOutcome:
+    """run_trial as it was on tuple vertices: the same draws in the same
+    order, each infection building a neighbor tuple and every set operation
+    going through SampleSet.  The oracle for the int-coded kernel."""
+    if not (horizon > 0) or threshold < 1:
+        raise UsageError("horizon must be positive and threshold >= 1")
+    state = initial if isinstance(initial, SampleSet) else SampleSet(initial)
+    rate_per_site = 1.0 + params.lam
+    d2 = 2 * params.d
+    d2_bits = d2.bit_length()
+    geo = params.geometry
+    side = geo.side if geo is not None else 0
+    t = 0.0
+    events = 0
+    max_size = len(state)
+    uniform = rng.random
+    bits = rng.getrandbits
+    items = state.items
+    while True:
+        n = len(items)
+        if n == 0:
+            return TrialOutcome(EXTINCT, t, max_size, events)
+        if n >= threshold:
+            return TrialOutcome(REACHED_THRESHOLD, None, max_size, events)
+        dt = -math.log(1.0 - uniform()) / (n * rate_per_site)
+        if t + dt > horizon:
+            return TrialOutcome(CENSORED, None, max_size, events)
+        t += dt
+        events += 1
+        recovery = uniform() * rate_per_site < 1.0
+        i = bits(n.bit_length())
+        while i >= n:
+            i = bits(n.bit_length())
+        if recovery:
+            state.discard(items[i])
+        else:
+            x = items[i]
+            k = bits(d2_bits)
+            while k >= d2:
+                k = bits(d2_bits)
+            axis = k >> 1
+            delta = 1 - 2 * (k & 1)
+            if geo is None:
+                y = x[:axis] + (x[axis] + delta,) + x[axis + 1:]
+            else:
+                y = x[:axis] + ((x[axis] + delta) % side,) + x[axis + 1:]
+            state.add(y)
+            if len(items) > max_size:
+                max_size = len(items)
+
+
+@st.composite
+def _trial_cases(draw):
+    """(params, start, horizon, threshold, seed).  Z^d starts mix small
+    coordinates of both signs with far ones, well inside the addition
+    budget; torus starts are wrapped, as the coded kernel returns them."""
+    d = draw(st.integers(1, 10))
+    side = draw(st.sampled_from([None, 4, 6])) if d <= 3 else None
+    if side is None:
+        coord = st.one_of(st.integers(-6, 6), st.integers(-(2**29), 2**29))
+    else:
+        coord = st.integers(0, side - 1)
+    start = draw(st.lists(st.tuples(*[coord] * d), max_size=8))
+    params = ContactParams(draw(st.floats(0.0, 4.0)), d, side and Torus(d, side))
+    horizon = draw(st.floats(0.01, 2.0))
+    threshold = draw(st.one_of(st.integers(1, 60), st.just(math.inf)))
+    return params, start, horizon, threshold, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_trial_cases())
+def test_coded_kernel_matches_the_tuple_reference(case):
+    params, start, horizon, threshold, seed = case
+    expected = SampleSet(start)
+    want = reference_trial(expected, params, horizon, threshold, random.Random(seed))
+    state = SampleSet(start)
+    assert run_trial(state, params, horizon, threshold, random.Random(seed)) == want
+    assert state.items == expected.items
+    assert state._pos == expected._pos
+    # a plain start runs the same trial
+    assert run_trial(start, params, horizon, threshold, random.Random(seed)) == want
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_vertex_code_round_trips_negative_coordinates(d):
+    rng = random.Random(d)
+    edge = CODE_LIMIT - 1
+    vertices = [(-edge,) * d, (edge,) * d, (-1,) * d, origin(d)]
+    vertices += [tuple(rng.randint(-edge, edge) for _ in range(d)) for _ in range(200)]
+    for v in vertices:
+        assert _decode(_encode(v), d) == v
+    # and through run_trial's entry and exit, with no event before the horizon
+    state = SampleSet(vertices)
+    out = run_trial(state, ContactParams(0.0, d), 1e-300, math.inf, random.Random(0))
+    assert out.event_count == 0 and state.items == vertices
+
+
+def test_start_at_the_code_limit_is_refused():
+    params = ContactParams(2.0, 3)
+    for far in [(CODE_LIMIT, 0, 0), (0, -CODE_LIMIT, 0), (0, 0, 2**40)]:
+        with pytest.raises(UsageError, match="must be below"):
+            run_trial([O3, far], params, 1.0, 10, random.Random(0))
+    with pytest.raises(UsageError):
+        run_trial([(1, 2)], params, 1.0, 10, random.Random(0))   # wrong dimension
+    # one step inside the limit leaves no addition to spare
+    start = [(CODE_LIMIT - 1, 0, 0)] + [(0, 0, 3 * j) for j in range(20)]
+    with pytest.raises(NumericalError, match="could reach"):
+        run_trial(start, ContactParams(4.0, 3), 50.0, math.inf, random.Random(0))
+
+
+class _CountingSet(SampleSet):
+    """A SampleSet that counts the vertices added after it was built."""
+
+    def __init__(self, iterable=()):
+        self.additions = 0
+        super().__init__(iterable)
+        self.additions = 0
+
+    def add(self, v):
+        self.additions += v not in self
+        super().add(v)
+
+
+def test_addition_budget_raises_exactly_when_spent(monkeypatch):
+    # capped at 8, a start 3 out leaves 8 - 1 - 3 = 4 additions
+    monkeypatch.setattr(contact, "CODE_LIMIT", 8)
+    params = ContactParams(3.0, 2)
+    start = [(3, 0), (-2, 1)]
+    with pytest.raises(UsageError):
+        run_trial([(0, -8)], params, 1.0, 10, random.Random(0))
+    raised = []
+    for seed in range(60):
+        ref = _CountingSet(start)
+        reference_trial(ref, params, 1.0, math.inf, random.Random(seed))
+        try:
+            run_trial(start, params, 1.0, math.inf, random.Random(seed))
+            raised.append(False)
+        except NumericalError:
+            raised.append(True)
+        assert raised[-1] == (ref.additions > 4)
+    assert True in raised and False in raised
+    # a torus bounds its coordinates itself, so the budget does not apply
+    torus = ContactParams(3.0, 2, Torus(2, 6))
+    assert run_trial([(0, 0)], torus, 5.0, math.inf, random.Random(0)).event_count > 100

@@ -8,7 +8,14 @@ means the draw order moved, and every seeded output stream with it.
 """
 
 from contact_mf.bcpp import first_moment_check, run_coupled
-from contact_mf.contact import ContactParams, DualityResult, duality_check, run_trial
+from contact_mf.contact import (
+    ContactParams,
+    DualityResult,
+    SampleSet,
+    duality_check,
+    run_to_time,
+    run_trial,
+)
 from contact_mf.lattice import Torus, origin
 from contact_mf.rng import substream
 
@@ -79,6 +86,51 @@ FIRST_MOMENT = [
     (2.0, 1.0349674944956577, 0.15802601482547218),
 ]
 
+# The three below were recorded from the tuple kernel, before run_trial
+# coded its vertices as ints.
+
+# the shape of a survival trial: lam=2, d=8, horizon 200, threshold 500,
+# trial k on substream(0, "golden-d8", k)
+D8 = [
+    ('reached_threshold', None, 500, 1936),
+    ('reached_threshold', None, 500, 2010),
+    ('reached_threshold', None, 500, 1713),
+    ('reached_threshold', None, 500, 1843),
+    ('reached_threshold', None, 500, 2035),
+    ('extinct', 0.5499171207385439, 1, 1),
+    ('reached_threshold', None, 500, 1756),
+    ('extinct', 0.6443606046792069, 1, 1),
+    ('reached_threshold', None, 500, 1885),
+    ('reached_threshold', None, 500, 1781),
+    ('extinct', 2.4495168868881967, 3, 7),
+    ('extinct', 0.13795743930973503, 1, 1),
+]
+
+# (outcome, final SampleSet.items) at lam=1.5, d=3, horizon 2, threshold 40
+# from Z3_START, trial k on substream(0, "golden-z3", k)
+Z3_START = [(-3, 0, 2), (0, -1, -4), (-7, -7, -7), (5, -2, 0)]
+Z3 = [
+    (('censored', None, 5, 12),
+     [(1, -1, -4), (0, -1, -2)]),
+    (('censored', None, 13, 33),
+     [(7, -3, 1), (-4, 1, 2), (5, -2, 1), (6, -2, 1), (-4, 0, 2), (-3, 0, 1), (5, -3, 1),
+      (-4, -1, 2), (6, -3, 2)]),
+    (('censored', None, 8, 20),
+     [(-8, -7, -7), (-7, -7, -6), (-7, -7, -5), (-7, -6, -6), (-8, -6, -6), (-7, -7, -4),
+      (-7, -6, -4), (-7, -6, -5)]),
+    (('extinct', 0.44848910557013566, 4, 4),
+     []),
+]
+
+# SampleSet.items after run_to_time(1.0) at lam=1.5 from all of Torus(2, 8),
+# on substream(0, "golden-torus", 0)
+TORUS_ITEMS = [
+    (0, 0), (6, 7), (2, 3), (3, 4), (0, 4), (0, 5), (6, 5), (0, 7), (1, 0), (1, 1),
+    (7, 1), (3, 5), (4, 1), (6, 0), (1, 6), (1, 7), (0, 3), (2, 1), (6, 2), (4, 3),
+    (5, 7), (2, 5), (5, 5), (7, 6), (6, 1), (0, 6), (3, 2), (5, 6), (6, 6), (5, 0),
+    (3, 6), (2, 6), (0, 1), (4, 5), (1, 2), (5, 1), (7, 7),
+]
+
 
 def test_run_trial_outcomes_are_golden():
     params = ContactParams(2.0, 4)
@@ -100,3 +152,28 @@ def test_run_coupled_event_counts_are_golden():
 
 def test_first_moment_rows_are_golden():
     assert first_moment_check(1.5, T26, [0.5, 1.0, 2.0], 300, seed=3) == FIRST_MOMENT
+
+
+def test_survival_shaped_trials_are_golden():
+    params = ContactParams(2.0, 8)
+    outcomes = []
+    for trial in range(len(D8)):
+        out = run_trial([origin(8)], params, 200.0, 500, substream(0, "golden-d8", trial))
+        outcomes.append((out.verdict, out.extinction_time, out.max_size, out.event_count))
+    assert outcomes == D8
+
+
+def test_negative_coordinate_starts_are_golden():
+    params = ContactParams(1.5, 3)
+    for trial, (outcome, items) in enumerate(Z3):
+        state = SampleSet(Z3_START)
+        out = run_trial(state, params, 2.0, 40, substream(0, "golden-z3", trial))
+        assert (out.verdict, out.extinction_time, out.max_size, out.event_count) == outcome
+        assert state.items == items
+
+
+def test_run_to_time_item_order_is_golden():
+    torus = Torus(2, 8)
+    state = SampleSet(torus.vertex(i) for i in range(torus.volume))
+    run_to_time(state, ContactParams(1.5, 2, torus), 1.0, substream(0, "golden-torus", 0))
+    assert state.items == TORUS_ITEMS

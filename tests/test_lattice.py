@@ -14,9 +14,9 @@ from contact_mf.lattice import (
     canonicalize,
     class_neighbor_table,
     class_orbit_sizes,
+    flat_neighbors,
     neighbors,
     origin,
-    random_neighbor,
     unit_vector,
 )
 
@@ -57,6 +57,15 @@ def test_neighbor_index_table_matches_tuple_neighbors():
     for i in range(t.volume):
         expected = {t.index(v) for v in neighbors(t.vertex(i), t)}
         assert set(table[i].tolist()) == expected
+
+
+@pytest.mark.parametrize("d, side", [(2, 8), (3, 4), (1, 6)])
+def test_flat_neighbors_is_the_cached_flat_table(d, side):
+    t = Torus(d, side)
+    flat = flat_neighbors(t)
+    assert flat_neighbors(Torus(d, side)) is flat
+    assert isinstance(flat, tuple)
+    assert flat == tuple(t.neighbor_index_table().ravel().tolist())
 
 
 def test_canonicalize_examples():
@@ -189,17 +198,3 @@ def test_unit_vector_and_origin():
     assert unit_vector(3, axis=2) == (0, 0, 1)
     with pytest.raises(UsageError):
         unit_vector(3, axis=3)
-
-
-def test_random_neighbor_uniform():
-    rng = random.Random(9)
-    counts = {}
-    n = 6000
-    for _ in range(n):
-        y = random_neighbor((0, 0, 0), rng)
-        counts[y] = counts.get(y, 0) + 1
-    assert len(counts) == 6
-    p = 1 / 6
-    bound = 3 * math.sqrt(p * (1 - p) / n)
-    for c in counts.values():
-        assert abs(c / n - p) < bound
