@@ -32,7 +32,7 @@ from .moments import (
     verify_stationary,
 )
 from .rng import np_substream, stream_key, substream
-from .walk import hitting_harmonic, hitting_mc, kesten_check, stationary_offset
+from .walk import hitting_exact, hitting_harmonic, hitting_mc, kesten_check, stationary_offset
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,7 @@ __all__ = [
     "estimate_survival",
     "evolve_correlations",
     "first_moment_check",
+    "hitting_exact",
     "hitting_harmonic",
     "hitting_mc",
     "kesten_check",

@@ -187,16 +187,18 @@ def _int_list(text: str) -> list[int]:
 # survival campaign
 # ---------------------------------------------------------------------------
 
-def _best_level(lam: float, d: int, hitting: float, cap: int = 200) -> tuple[int, float]:
+def _best_level(lam: float, d: int, hitting: float) -> tuple[int, float]:
     """Pick the seed-set level with the largest combined survival floor.
 
-    Subcritical rates (and the recurrent d where H = 1) have no positive
-    floor; report level 1 with bound 0 rather than refusing the cell.
+    Levels k >= 2d have climb rate lam*(1 - k/2d) <= 0 and floor 0, so
+    scanning 1..2d-1 misses nothing.  Subcritical rates (and the
+    recurrent d where H = 1) have no positive floor; report level 1 with
+    bound 0 rather than refusing the cell.
     """
     if lam <= 1.0 or hitting >= 1.0:
         return 1, 0.0
     best_k, best_v = 1, -1.0
-    for k in range(1, cap + 1):
+    for k in range(1, 2 * d):
         v = analytics.combined_survival_bound(lam, d, hitting, k)
         if v > best_v:
             best_k, best_v = k, v
@@ -213,8 +215,7 @@ def _blocks(trials: int, jobs: int) -> list[range]:
 def _survival_cell(task: tuple):
     """Run one pool task; every command's pool maps this one function.
 
-    ("hitting", d, n_walks, max_steps, key) returns the Monte Carlo H(d);
-    ("trials", params, block, horizon, threshold, cell_seed) the
+    ("trials", params, block, horizon, threshold, cell_seed) returns the
     (n_reached, n_censored) survival tally of the trial indices in range
     `block`; ("duality", params, t, block, seed) their (survived, covered)
     duality tally; ("coupled", lam, torus, horizon, block, seed) their
@@ -222,9 +223,6 @@ def _survival_cell(task: tuple):
     checkpoints, block, seed) one row of origin values per trial.
     """
     kind, *spec = task
-    if kind == "hitting":
-        d, n_walks, max_steps, key = spec
-        return walk.hitting_mc(d, n_walks=n_walks, max_steps=max_steps, seed=key).h
     if kind == "coupled":
         lam, torus, horizon, block, seed = spec
         return sum(bcpp.run_coupled(lam, torus, horizon, substream(seed, "coupled", i))
@@ -267,7 +265,7 @@ def _survival_row(est: contact.SurvivalEstimate, params: contact.ContactParams,
 
 def cmd_survival(args) -> int:
     trials, horizon, threshold = args.trials, args.horizon, args.threshold
-    # refused before the H walks, which take seconds to minutes
+    # refused before any worker starts
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
     if not (horizon > 0) or threshold < 1 or (args.bound_k is not None and args.bound_k < 1):
@@ -279,28 +277,24 @@ def cmd_survival(args) -> int:
         " <= (lam-1)/lam + 3*sigma"
     )
     print(f"# {header}")
-    h_dims = sorted(set(args.d))
-    # one task list for one pool: the H walks first, as the longest tasks,
-    # then every cell's trials in blocks
-    tasks = [("hitting", d, args.h_walks, args.h_max_steps, stream_key(seed, "hitting", d))
-             for d in h_dims]
     cells = []
     for i, lam in enumerate(args.lam):
         for j, d in enumerate(args.d):
             # 63-bit mask keeps the serialized per-cell seed a plain int64
             cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
             cells.append((contact.ContactParams(lam, d), cell_seed))
+    # the pool runs only trial blocks: H(d) is exact, in well under a
+    # millisecond, and computed here in the parent
     blocks = _blocks(trials, args.jobs)
-    for params, cell_seed in cells:
-        tasks += [("trials", params, block, horizon, threshold, cell_seed) for block in blocks]
-    results = _run_tasks(tasks, args.jobs)
-    hitting_by_d = dict(zip(h_dims, results))
-    tallies = results[len(h_dims):]
+    tasks = [("trials", params, block, horizon, threshold, cell_seed)
+             for params, cell_seed in cells for block in blocks]
+    tallies = _run_tasks(tasks, args.jobs)
     rows = []
     for c, (params, cell_seed) in enumerate(cells):
         cell = tallies[c * len(blocks):(c + 1) * len(blocks)]
         est = contact.summarize_survival(params, trials, *map(sum, zip(*cell)), horizon, threshold)
-        rows.append(_survival_row(est, params, hitting_by_d[params.d], args.bound_k, cell_seed))
+        hitting = walk.hitting_exact(params.d)
+        rows.append(_survival_row(est, params, hitting, args.bound_k, cell_seed))
     _emit(rows, SURVIVAL_COLUMNS, args, header)
     ok = all(
         r["lower_bound"] - 3 * r["std_err"] <= r["p_hat"] <= r["upper_bound"] + 3 * r["std_err"]
@@ -340,13 +334,7 @@ def cmd_bound(args) -> int:
         " reach(K) = (1 - 1/mu) / (1 - mu^-K), mu = lam*(1 - K/(2d))"
     )
     print(f"# {header}")
-    if args.hitting is not None:
-        hitting = args.hitting
-    else:
-        hitting = walk.hitting_mc(
-            d, n_walks=200_000, max_steps=10_000,
-            seed=stream_key(_resolve_seed(args), "hitting", d),
-        ).h
+    hitting = args.hitting if args.hitting is not None else walk.hitting_exact(d)
     floor = analytics.second_moment_survival_bound(lam, hitting, size)
     reach = analytics.reach_probability(lam, d, level)
     combined = analytics.combined_survival_bound(lam, d, hitting, level)
@@ -546,6 +534,8 @@ _COMMON = [
     ("--jobs", int, os.cpu_count() or 1, "worker processes"),
 ]
 
+_H_IGNORED = "ignored: H(d) is exact; kept so existing command lines and configs still run"
+
 _OPTIONS = {
     "survival": ("survival-probability campaign over a (lambda, d) grid", [
         ("--lambda", _float_list, (2.0,), "comma-separated infection rates"),
@@ -554,8 +544,8 @@ _OPTIONS = {
         ("--horizon", float, 200.0, "censoring time"),
         ("--threshold", int, 500, "infected count treated as survival"),
         ("--bound-k", int, None, "seed-set level for the lower bound (default: best level)"),
-        ("--h-walks", int, 200_000, "walks for each Monte Carlo H(d)"),
-        ("--h-max-steps", int, 10_000, "step budget of each H(d) walk"),
+        ("--h-walks", int, None, _H_IGNORED),
+        ("--h-max-steps", int, None, _H_IGNORED),
     ]),
     "ode": ("mean-field ODE vs closed form", [
         ("--lambda", float, 2.0, "infection rate"),
@@ -565,7 +555,7 @@ _OPTIONS = {
     "bound": ("analytic survival floors for one (lambda, d)", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--d", int, 6, "dimension"),
-        ("--hitting", float, None, "override H instead of estimating it"),
+        ("--hitting", float, None, "override the exact H"),
         ("--set-size", int, 1, "seed-set size of the floor"),
         ("--level", int, None, "seed-set level of the combined bound (default: --set-size)"),
     ]),

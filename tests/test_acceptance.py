@@ -19,35 +19,38 @@ in one pytest invocation when possible.
 """
 
 import itertools
+import math
 import time
 
 from contact_mf import analytics, bcpp, contact, moments, walk
 from contact_mf.errors import InvariantViolation, NumericalError
 from contact_mf.lattice import Torus, origin
-from contact_mf.rng import stream_key, substream
+from contact_mf.rng import substream
 
 # return probability of the 3-d simple random walk (equivalently the
-# chance a walk from a unit vector ever reaches the origin), from
-# high-precision quadrature of the lattice Green function ratio
-D3_RETURN = 0.340537
+# chance a walk from a unit vector ever reaches the origin): 1 - 1/G with
+# Watson's closed form of the expected number of visits G
+D3_RETURN = 1.0 - 1.0 / (
+    math.sqrt(6.0) / (32.0 * math.pi**3)
+    * math.gamma(1 / 24) * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24)
+)
 
 
 def test_criterion_01_survival_sandwich(criterion_report):
     """lam=2, d in {4,6,8}: analytic floor - 3s <= p_hat <= 1/2 + 3s.
 
-    The floor uses the level-20 seed-set bound; at these dimensions the
-    climb rate lam*(1 - 20/(2d)) is nonpositive, so the floor is the
-    continuous-extension value 0 and the binding checks are the upper
-    half of the sandwich and the halved-constant comparison at d=8.
+    The floor uses the level-20 seed-set bound at the exact H(d); at these
+    dimensions the climb rate lam*(1 - 20/(2d)) is nonpositive, so the
+    floor is the continuous-extension value 0 and the binding checks are
+    the upper half of the sandwich and the halved-constant comparison at
+    d=8.
     """
     t0 = time.perf_counter()
     lam = 2.0
     parts, ok = [], True
     p8 = gate8 = None
     for d in (4, 6, 8):
-        h = walk.hitting_mc(
-            d, n_walks=200_000, max_steps=10_000, seed=stream_key(0, "hitting", d)
-        ).h
+        h = walk.hitting_exact(d)
         lower = analytics.combined_survival_bound(lam, d, h, 20)
         est = contact.estimate_survival(
             contact.ContactParams(lam, d), 2000, 200.0, 500, 100 + d
@@ -127,7 +130,7 @@ def test_criterion_04_hitting_probability(criterion_report):
     ]
     ok = mc_ok and bracket_ok and not window_bad
     detail = (
-        f"mc h={est.h:.6f} (z={z:+.2f} vs {D3_RETURN}), "
+        f"mc h={est.h:.6f} (z={z:+.2f} vs {D3_RETURN:.10f}), "
         f"bracket=({lo:.4f},{hi:.4f}) contains oracle: {bracket_ok}, "
         f"scaling window: {'; '.join(window_bad) if window_bad else 'ok'} "
         f"[" + ", ".join(f"d={d}: {s:.4f}" for d, _h, s, _se in rows) + "]"

@@ -75,8 +75,8 @@ _COMMON_DEFAULTS = {"seed": None, "out": None, "format": "csv", "config": None,
                     "jobs": os.cpu_count() or 1}
 _DEFAULTS = {
     "survival": {"lam": (2.0,), "d": (4, 6, 8), "trials": 2000, "horizon": 200.0,
-                 "threshold": 500, "bound_k": None, "h_walks": 200_000,
-                 "h_max_steps": 10_000},
+                 "threshold": 500, "bound_k": None, "h_walks": None,
+                 "h_max_steps": None},
     "ode": {"lam": 2.0, "t_end": 10.0, "dt": 1e-3},
     "bound": {"lam": 2.0, "d": 6, "hitting": None, "set_size": 1, "level": None},
     "hitting": {"d": 3, "method": "both", "walks": 1_000_000, "max_steps": 10_000,
@@ -217,7 +217,7 @@ def test_same_seed_byte_identical_across_job_counts(tmp_path, capsys):
 
 
 def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
-    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     assert main(["survival", "--d", "4", "--trials", "0", "--jobs", "1"]) == 2
     assert "--trials must be >= 1" in capsys.readouterr().err
 
@@ -226,10 +226,52 @@ def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
     ("--horizon", "-1"), ("--horizon", "nan"), ("--threshold", "0"), ("--bound-k", "0"),
 ], ids=["horizon-negative", "horizon-nan", "threshold", "bound-k"])
 def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, monkeypatch, capsys):
-    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
-    monkeypatch.setattr(cli.contact, "tally_survival", lambda *a: pytest.fail("ran trials"))
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     assert main(["survival", "--d", "4", "--trials", "5", "--jobs", "1", flag, value]) == 2
     assert "need --horizon > 0, --threshold >= 1 and --bound-k >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lam, d, best", [(10.0, 2500, 223), (4.0, 5000, 217), (2.0, 6, 1),
+                                           (2.0, 100, 19)])
+def test_best_level_matches_a_brute_force_scan(lam, d, best):
+    # levels k >= 2d climb at rate lam*(1 - k/2d) <= 0, so the scan stops
+    # at 2d - 1; the brute force runs on to 4d
+    h = cli.walk.hitting_exact(d)
+    values = [analytics.combined_survival_bound(lam, d, h, k) for k in range(1, 4 * d + 1)]
+    top = max(values)
+    assert values.index(top) + 1 == best
+    assert cli._best_level(lam, d, h) == (best, top)
+
+
+def test_survival_and_bound_use_the_exact_h_and_never_walk(monkeypatch, capsys):
+    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    assert main(_FAST_CELL) == 0
+    row = dict(zip(*_table_rows(capsys.readouterr().out)))
+    assert float(row["H_estimate"]) == cli.walk.hitting_exact(4)
+    assert main(["bound", "--lambda", "2", "--d", "6"]) == 0
+    row = dict(zip(*_table_rows(capsys.readouterr().out)))
+    assert float(row["H"]) == cli.walk.hitting_exact(6)
+
+
+def test_survival_ignores_the_walk_budget_flags(tmp_path, capsys):
+    # --h-walks and --h-max-steps (and their config keys) still parse, so
+    # existing command lines run, but no longer change a byte
+    plain = [a for a in _FAST_CELL if a not in ("--h-walks", "4000", "--h-max-steps", "1000")]
+    cfg = tmp_path / "walks.ini"
+    cfg.write_text("[survival]\nh-walks = 5\nh_max_steps = 7\n")
+    blobs = []
+    for i, argv in enumerate((_FAST_CELL, plain, plain + ["--config", str(cfg)])):
+        out = tmp_path / f"{i}.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        blobs.append(out.read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_bound_refuses_a_recurrent_dimension(capsys):
+    # H = 1 at d <= 2: the second-moment floor has no domain there
+    assert main(["bound", "--lambda", "2", "--d", "2"]) == 2
+    assert "hitting probability must be in [0,1), got 1.0" in capsys.readouterr().err
 
 
 def test_subcritical_grid_reports_all_zero(capsys):
@@ -538,7 +580,7 @@ _BCPP = ["bcpp-check", "--lambda", "1.5", "--d", "1", "--torus-side", "8",
 ], ids=["ode-lambda", "ode-t-end", "ode-dt", "bound-lambda", "survival-lambda",
         "duality-lambda", "bcpp-lambda", "bcpp-times"])
 def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
-    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     assert main(argv + ["--jobs", "1"]) == 2
     assert "usage error" in capsys.readouterr().err
 
@@ -605,7 +647,7 @@ def test_pool_commands_refuse_bad_arguments_before_any_pool(argv, message,
 
 
 def test_jobs_below_one_refused_before_any_walk_or_pool(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     pools = _record_pools(monkeypatch)
     cfg = tmp_path / "jobs.ini"
     cfg.write_text("[survival]\nd = 4\ntrials = 40\njobs = -3\n")

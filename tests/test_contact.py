@@ -180,10 +180,10 @@ def test_mildly_subcritical_p_hat_zero():
 
 def test_supercritical_cell_sits_in_sandwich():
     from contact_mf.analytics import combined_survival_bound
-    from contact_mf.walk import hitting_mc
+    from contact_mf.walk import hitting_exact
 
     est = estimate_survival(ContactParams(2.0, 6), 2_000, 200.0, 500, seed=4)
-    h = hitting_mc(6, n_walks=100_000, max_steps=5_000, seed=4).h
+    h = hitting_exact(6)
     lower = max(combined_survival_bound(2.0, 6, h, k) for k in range(1, 30))
     assert lower - 3 * est.std_err <= est.p_hat <= 0.5 + 3 * est.std_err
     assert est.p_hat * est.n_trials == est.n_reached

@@ -1,8 +1,9 @@
-"""Hitting probabilities: Monte Carlo walker and the Dirichlet solver.
+"""Hitting probabilities: the exact integral, the Monte Carlo walker and
+the Dirichlet solver.
 
-The d=3 references below use the known return probability 0.340537 of the
-simple random walk (the walk from a neighbor hits the origin with exactly
-that probability).  MC runs with a finite step cap undercount late hits,
+The d=3 references below use the return probability 1 - 1/G of the simple
+random walk, with Watson's closed form of G (the walk from a neighbor hits
+the origin with exactly that probability).  MC runs with a finite step cap undercount late hits,
 so MC assertions carry an explicit cap allowance.
 
 Two tests pin stated target windows that the true constants sit outside
@@ -10,6 +11,8 @@ of (2d*h exceeds 1.1 at d=10 and 1.15 at d=8 — the 1/(2d) asymptotic
 has a slowly decaying 1/d correction); they fail by design and are
 expected failures of record, not regressions.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,13 +22,45 @@ from contact_mf.errors import InvariantViolation, NumericalError, UsageError
 from contact_mf.lattice import class_neighbor_table, origin
 from contact_mf.walk import (
     absorbing_solve,
+    hitting_exact,
     hitting_harmonic,
     hitting_mc,
     kesten_check,
     stationary_offset,
 )
 
-D3_RETURN = 0.340537
+# Watson (1939): the 3-d walk's expected number of visits to the origin
+WATSON_G3 = (
+    math.sqrt(6.0) / (32.0 * math.pi**3)
+    * math.gamma(1 / 24) * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24)
+)
+D3_RETURN = 1.0 - 1.0 / WATSON_G3
+
+
+def test_exact_d3_matches_watson():
+    assert WATSON_G3 == pytest.approx(1.516386059151978, abs=1e-15)
+    assert abs(hitting_exact(3) - D3_RETURN) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [64, 256, 1024, 4096])
+def test_exact_high_d_follows_the_1_over_2d_expansion(d):
+    # 2dH = 1 + 1/d + O(1/d^2): the scaled correction (2dH - 1)*d -> 1
+    # (measured 1.0285, 1.0069, 1.0017, 1.0004)
+    assert abs((2 * d * hitting_exact(d) - 1) * d - 1) <= 2 / d
+
+
+def test_exact_is_one_for_recurrent_dimensions():
+    assert hitting_exact(1) == hitting_exact(2) == 1.0
+    with pytest.raises(UsageError):
+        hitting_exact(0)
+
+
+def test_exact_agrees_with_the_kesten_table_walks():
+    # the d=6 walks of test_kesten_table_monotone_in_dimension (cached):
+    # a walk from e1 hits after step 2000 with probability about 1e-7,
+    # far below the estimate's 9e-4 standard error
+    est = hitting_mc(6, n_walks=120_000, max_steps=2_000, seed=2)
+    assert abs(est.h - hitting_exact(6)) <= 4 * est.std_err
 
 
 def test_mc_d1_is_nearly_recurrent():
