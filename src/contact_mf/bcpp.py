@@ -92,49 +92,15 @@ class BcppField:
                 self.time, self.lam,
             )
 
-    def step(self, rng) -> tuple[int, int | None]:
-        """Apply one event; returns (site, source) with source None on zeroing.
+    def run_until(self, t_end: float, rng, on_event=None) -> None:
+        """Advance to exactly t_end (events after it are not applied).
 
-        The one-event form of run_until's loop, drawing the same numbers in
-        the same order: the site's value drops to 0, or becomes its value
-        plus the source's, both read at the event time.
-        """
-        n = len(self.values)
-        t = self.time = self.time + rng.expovariate(n * (1.0 + self.lam))
-        values = self.values
-        x = rng.randrange(n)
-        if rng.random() * (1.0 + self.lam) < 1.0:
-            if values[x] > 0.0:
-                values[x] = 0.0
-                self.support.discard(x)
-            return x, None
-        y = self._nbrs[x * self._deg + rng.randrange(self._deg)]
-        dr = self._decay
-        last = self.last
-        vx = values[x]
-        if vx > 0.0:
-            vx *= exp(dr * (t - last[x]))
-        vy = values[y]
-        if vy > 0.0:
-            vy *= exp(dr * (t - last[y]))
-        nv = vx + vy
-        values[x] = nv
-        last[x] = t
-        if nv > 0.0:
-            if vx == 0.0:
-                self.support.add(x)
-        else:
-            if vx > 0.0:
-                self.support.discard(x)
-            if vx > 0.0 or vy > 0.0:
-                self._note_underflow()
-        return x, y
-
-    def run_until(self, t_end: float, rng) -> None:
-        """Advance to exactly t_end (events after it are not drawn).
-
-        The total event rate does not depend on the configuration, so
-        stopping and restarting the exponential clock at t_end is exact.
+        Each event draws a site; its value drops to 0, or becomes its value
+        plus a neighbor's (the source), both read at the event time.  The
+        total event rate does not depend on the configuration, so stopping
+        and restarting the exponential clock at t_end is exact.  With
+        on_event set, each applied event sets self.time to its time, then
+        calls on_event(site, source), with source None on a zeroing.
         """
         if not (t_end >= self.time):
             raise UsageError(f"cannot run backwards: {t_end} < {self.time}")
@@ -163,6 +129,7 @@ class BcppField:
             while x >= n:
                 x = bits(n_bits)
             if uni() * lam1 < 1.0:
+                y = None
                 if values[x] > 0.0:
                     values[x] = 0.0
                     support.discard(x)
@@ -189,27 +156,29 @@ class BcppField:
                     if vx > 0.0 or vy > 0.0:
                         self.time = t
                         self._note_underflow()
+            if on_event is not None:
+                self.time = t
+                on_event(x, y)
 
 
 def run_coupled(lam: float, torus: Torus, horizon: float, rng) -> int:
     """Drive the field and a contact-process set off one event stream.
 
-    Each field.step event is replayed on the infected set: a zeroing is a
-    recovery, an absorption copies the source's infection.  After every
-    single event the field's strictly-positive support must equal the
-    infected set; any mismatch raises InvariantViolation.  Returns the
-    number of events up to the horizon (the first event past it is drawn
-    but neither counted nor checked).
+    Each event of field.run_until is replayed on the infected set: a
+    zeroing is a recovery, an absorption copies the source's infection.
+    After every single event the field's strictly-positive support must
+    equal the infected set; any mismatch raises InvariantViolation.
+    Returns the number of events up to the horizon (the wait to the first
+    event past it is drawn, but that event is neither counted nor checked).
     """
     if not (horizon > 0):
         raise UsageError(f"horizon must be positive, got {horizon}")
     field = BcppField(torus, lam)
     infected = set(field.support)
     events = 0
-    while True:
-        x, y = field.step(rng)
-        if field.time > horizon:
-            return events
+
+    def replay(x, y):
+        nonlocal events
         events += 1
         if y is None:
             infected.discard(x)
@@ -223,6 +192,9 @@ def run_coupled(lam: float, torus: Torus, horizon: float, rng) -> int:
                 f"infected-without-value {sorted(missing)[:5]}, "
                 f"value-without-infection {sorted(extra)[:5]}"
             )
+
+    field.run_until(horizon, rng, replay)
+    return events
 
 
 def mean_rows(keys, trial_rows) -> list[tuple]:

@@ -1,6 +1,7 @@
 """Error taxonomy shared across the package.
 
-The CLI maps these onto process exit codes (see cli.EXIT_*).
+The CLI maps these onto process exit codes (see the exit-code list in
+cli.py's module docstring).
 """
 
 

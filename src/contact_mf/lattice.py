@@ -99,20 +99,11 @@ def check_dimension(v: Vertex, d: int) -> None:
 
 
 def neighbors(v: Vertex, geometry: Torus | None = None) -> list[Vertex]:
-    """The 2d lattice neighbors of v (wrapped on a torus)."""
+    """The 2d lattice neighbors of v, +axis then -axis per axis (wrapped on a torus)."""
     if geometry is not None:
         check_dimension(v, geometry.dimension)
-        L = geometry.side
-        out = []
-        for i, c in enumerate(v):
-            out.append(v[:i] + ((c + 1) % L,) + v[i + 1 :])
-            out.append(v[:i] + ((c - 1) % L,) + v[i + 1 :])
-        return out
-    out = []
-    for i, c in enumerate(v):
-        out.append(v[:i] + (c + 1,) + v[i + 1 :])
-        out.append(v[:i] + (c - 1,) + v[i + 1 :])
-    return out
+    out = [v[:i] + (c + s,) + v[i + 1 :] for i, c in enumerate(v) for s in (1, -1)]
+    return out if geometry is None else [geometry.wrap(u) for u in out]
 
 
 def canonicalize(v: Vertex) -> Vertex:

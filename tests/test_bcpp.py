@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from contact_mf import bcpp
 from contact_mf.bcpp import BcppField, first_moment_check, pair_moment_mc, run_coupled
-from contact_mf.errors import UsageError
+from contact_mf.errors import InvariantViolation, UsageError
 from contact_mf.lattice import Torus, origin
 from contact_mf.rng import substream
 
@@ -29,26 +30,30 @@ def test_initial_state_is_all_ones():
 
 
 class _ScriptedRng:
-    """Answers BcppField.step's draws: no wait, then the given site, event
-    kind and neighbour slot."""
+    """Answers BcppField.run_until's draws for one event at time 0: no wait,
+    the given site, event kind and neighbour slot, then a wait past t=0."""
 
     def __init__(self, site: int, zero: bool, slot: int = 0):
         self._ints = iter((site, slot))
-        self._mark = 0.0 if zero else 0.999
+        self._uniforms = iter((0.0, 0.0 if zero else 0.999, 0.5))
 
-    def expovariate(self, rate):
-        return 0.0
-
-    def randrange(self, n):
+    def getrandbits(self, k):
         return next(self._ints)
 
     def random(self):
-        return self._mark
+        return next(self._uniforms)
+
+
+def _one_event(field, rng):
+    """Run field to its current time on rng; the (site, source) events applied."""
+    applied = []
+    field.run_until(field.time, rng, lambda x, y: applied.append((x, y)))
+    return applied
 
 
 def test_single_absorb_event_adds_values():
     f = BcppField(T26, 2.0)
-    x, y = f.step(_ScriptedRng(0, zero=False))   # at t=0, both values still exactly 1
+    [(x, y)] = _one_event(f, _ScriptedRng(0, zero=False))   # at t=0, both values exactly 1
     assert (x, y) == (0, T26.neighbor_index_table()[0][0])
     assert f.value_at(x) == 2.0
     assert f.value_at(y) == 1.0
@@ -56,10 +61,10 @@ def test_single_absorb_event_adds_values():
 
 def test_zero_event_empties_site_and_support():
     f = BcppField(T26, 2.0)
-    assert f.step(_ScriptedRng(5, zero=True)) == (5, None)
+    assert _one_event(f, _ScriptedRng(5, zero=True)) == [(5, None)]
     assert f.value_at(5) == 0.0
     assert 5 not in f.support
-    f.step(_ScriptedRng(5, zero=True))            # idempotent
+    _one_event(f, _ScriptedRng(5, zero=True))   # idempotent
     assert f.value_at(5) == 0.0
 
 
@@ -75,11 +80,15 @@ def test_lazy_decay_matches_exponential_flow():
 
 def test_support_tracks_positive_values_through_events():
     f = BcppField(T26, 1.5)
-    rng = random.Random(0)
-    for _ in range(400):
-        f.step(rng)
+    events = []
+
+    def check(x, y):
+        events.append(x)
         positive = {i for i in range(T26.volume) if f.value_at(i) > 0}
         assert positive == f.support
+
+    f.run_until(5.0, random.Random(0), check)
+    assert len(events) >= 400
 
 
 def test_run_until_stops_exactly_at_horizon():
@@ -95,6 +104,28 @@ def test_coupled_support_identity_small_batch():
     for trial in range(20):
         events += run_coupled(1.5, T26, 5.0, substream(0, "coupled", trial))
     assert events > 1000    # the stream actually did something
+
+
+class _DroppingField(BcppField):
+    """A field that loses one site from its support at its 10th event."""
+
+    def run_until(self, t_end, rng, on_event=None):
+        events = 0
+
+        def drop_at_ten(x, y):
+            nonlocal events
+            events += 1
+            if events == 10:
+                self.support.discard(min(self.support))
+            on_event(x, y)
+
+        super().run_until(t_end, rng, drop_at_ten)
+
+
+def test_coupled_replay_detects_support_mismatch(monkeypatch):
+    monkeypatch.setattr(bcpp, "BcppField", _DroppingField)
+    with pytest.raises(InvariantViolation, match="support mismatch after event 10 "):
+        run_coupled(1.5, T26, 5.0, substream(0, "coupled", 0))
 
 
 def test_coupled_rejects_nonpositive_horizon():

@@ -1,4 +1,5 @@
-"""Property tests for SampleSet, the state both contact kernels mutate."""
+"""Property tests for SampleSet, the state the contact kernel and the tests'
+reference_trial mutate."""
 
 import random
 
