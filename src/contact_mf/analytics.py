@@ -2,9 +2,9 @@
 and the second-moment survival bounds.
 
 Everything here is exact arithmetic on user-supplied parameters.  The
-hitting probability `hitting` is always an input (estimate it with
-`walk`, or pass 0 for the infinite-dimension limit); this module never
-re-estimates it.
+hitting probability `hitting` is always an input (take it from
+`walk.hitting_exact`, or pass 0 for the infinite-dimension limit); this
+module never computes it.
 """
 
 from __future__ import annotations
@@ -174,26 +174,48 @@ def combined_survival_bound(
     return reach * bound.value
 
 
+class Sandwich(NamedTuple):
+    """Survival from one site: combined lower bound at `level`, the
+    (lam-1)/lam upper bound, and the older coarse (lam-1)/(2*lam)."""
+
+    lower: float
+    upper: float
+    halved: float
+    level: int
+
+
 def survival_sandwich(
-    lam: float, d: int | None, hitting: float, level: int
-) -> tuple[float, float, float]:
-    """(combined lower bound, (lam-1)/lam upper, halved legacy lower).
+    lam: float, d: int | None, hitting: float, level: int | None = None
+) -> Sandwich:
+    """Both sides of the survival probability from the origin.
 
     The upper bound is the dominating-walk survival, valid at every d;
-    the halved value is the older coarse bound the sharp analysis
-    supersedes.  lower <= upper is checked defensively.
+    `halved` is the coarse bound the sharp analysis supersedes, not
+    clipped at 0.  With `level` None the level is the first maximizer of
+    the combined bound over k = 1..2d-1: levels k >= 2d climb at rate
+    lam*(1 - k/2d) <= 0 and have floor 0.  Subcritical rates (and the
+    recurrent d where H = 1) have no positive floor: lower is 0, at the
+    given level or at 1.  lower <= upper is checked defensively.
     """
-    if not (lam > 1):
-        raise UsageError(f"sandwich requires lambda > 1, got {lam}")
-    lower = combined_survival_bound(lam, d, hitting, level)
     upper = dominating_walk_survival(lam)
-    halved = upper / 2.0
+    halved = (lam - 1.0) / (2.0 * lam)
+    if level is None and d is None:
+        raise UsageError("choosing the level needs a finite dimension d")
+    if lam <= 1.0 or hitting >= 1.0:
+        return Sandwich(0.0, upper, halved, 1 if level is None else level)
+    if level is None:
+        # k = 1 always runs, so reach_probability refuses a d < 1
+        values = [combined_survival_bound(lam, d, hitting, k) for k in range(1, max(2, 2 * d))]
+        lower = max(values)
+        level = values.index(lower) + 1
+    else:
+        lower = combined_survival_bound(lam, d, hitting, level)
     if lower > upper + 1e-12:
         raise InvariantViolation(
             f"lower bound {lower} exceeds upper bound {upper} "
             f"(lam={lam}, d={d}, hitting={hitting}, level={level})"
         )
-    return lower, upper, halved
+    return Sandwich(lower, upper, halved, level)
 
 
 def threshold_error_bound(lam: float, threshold: int) -> float:

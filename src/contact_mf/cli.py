@@ -19,43 +19,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
 
 from . import analytics, bcpp, contact, moments, walk
 from .errors import InvariantViolation, NumericalError, UsageError
 from .lattice import Torus
 from .rng import stream_key, substream
 
-__all__ = ["main", "ResultRow", "SURVIVAL_COLUMNS"]
+__all__ = ["main", "SURVIVAL_COLUMNS"]
 
 SURVIVAL_COLUMNS = [
     "lambda", "d", "p_hat", "std_err", "n_censored", "lower_bound",
     "upper_bound", "griffeath_bound", "H_estimate", "K_used", "seed",
 ]
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One survival-campaign cell; field order matches SURVIVAL_COLUMNS."""
-
-    lam: float
-    d: int
-    p_hat: float
-    std_err: float
-    n_censored: int
-    lower_bound: float
-    upper_bound: float
-    griffeath_bound: float
-    H_estimate: float
-    K_used: int
-    seed: int
-
-    def to_dict(self) -> dict:
-        return dict(zip(SURVIVAL_COLUMNS, astuple(self)))
-
-    @classmethod
-    def from_dict(cls, row: dict) -> "ResultRow":
-        return cls(*(row[c] for c in SURVIVAL_COLUMNS))
-
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -187,24 +162,6 @@ def _int_list(text: str) -> list[int]:
 # survival campaign
 # ---------------------------------------------------------------------------
 
-def _best_level(lam: float, d: int, hitting: float) -> tuple[int, float]:
-    """Pick the seed-set level with the largest combined survival floor.
-
-    Levels k >= 2d have climb rate lam*(1 - k/2d) <= 0 and floor 0, so
-    scanning 1..2d-1 misses nothing.  Subcritical rates (and the
-    recurrent d where H = 1) have no positive floor; report level 1 with
-    bound 0 rather than refusing the cell.
-    """
-    if lam <= 1.0 or hitting >= 1.0:
-        return 1, 0.0
-    best_k, best_v = 1, -1.0
-    for k in range(1, 2 * d):
-        v = analytics.combined_survival_bound(lam, d, hitting, k)
-        if v > best_v:
-            best_k, best_v = k, v
-    return best_k, best_v
-
-
 def _blocks(trials: int, jobs: int) -> list[range]:
     """Trial indices 0..trials-1 cut into min(trials, 4*jobs) blocks of
     consecutive indices, small enough to even out the workers' load."""
@@ -243,26 +200,6 @@ def _run_tasks(tasks: list, jobs: int) -> list:
         return list(pool.map(_survival_cell, tasks))
 
 
-def _survival_row(est: contact.SurvivalEstimate, params: contact.ContactParams,
-                  hitting: float, bound_k: int | None, cell_seed: int) -> dict:
-    lam, d = params.lam, params.d
-    if bound_k is None:
-        k_used, lower = _best_level(lam, d, hitting)
-    elif lam <= 1.0 or hitting >= 1.0:
-        k_used, lower = bound_k, 0.0
-    else:
-        k_used = bound_k
-        lower = analytics.combined_survival_bound(lam, d, hitting, bound_k)
-    row = ResultRow(
-        lam=lam, d=d, p_hat=est.p_hat, std_err=est.std_err,
-        n_censored=est.n_censored, lower_bound=lower,
-        upper_bound=analytics.dominating_walk_survival(lam),
-        griffeath_bound=(lam - 1.0) / (2.0 * lam),
-        H_estimate=hitting, K_used=k_used, seed=cell_seed,
-    )
-    return row.to_dict()
-
-
 def cmd_survival(args) -> int:
     trials, horizon, threshold = args.trials, args.horizon, args.threshold
     # refused before any worker starts
@@ -272,29 +209,35 @@ def cmd_survival(args) -> int:
         raise UsageError(f"need --horizon > 0, --threshold >= 1 and --bound-k >= 1, got "
                          f"{horizon}, {threshold} and {args.bound_k}")
     seed = _resolve_seed(args)
-    header = (
-        "survival sandwich: reach(level)*floor(level) - 3*sigma <= p_hat"
-        " <= (lam-1)/lam + 3*sigma"
-    )
-    print(f"# {header}")
+    # every cell's H(d) is exact, in well under a millisecond, so the
+    # parent computes the bounds (and refuses their arguments) before the
+    # pool, which runs only trial blocks
     cells = []
     for i, lam in enumerate(args.lam):
         for j, d in enumerate(args.d):
             # 63-bit mask keeps the serialized per-cell seed a plain int64
             cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
-            cells.append((contact.ContactParams(lam, d), cell_seed))
-    # the pool runs only trial blocks: H(d) is exact, in well under a
-    # millisecond, and computed here in the parent
+            params = contact.ContactParams(lam, d)
+            hitting = walk.hitting_exact(d)
+            bounds = analytics.survival_sandwich(lam, d, hitting, args.bound_k)
+            cells.append((params, cell_seed, hitting, bounds))
+    header = (
+        "survival sandwich: reach(level)*floor(level) - 3*sigma <= p_hat"
+        " <= (lam-1)/lam + 3*sigma"
+    )
+    print(f"# {header}")
     blocks = _blocks(trials, args.jobs)
     tasks = [("trials", params, block, horizon, threshold, cell_seed)
-             for params, cell_seed in cells for block in blocks]
+             for params, cell_seed, _, _ in cells for block in blocks]
     tallies = _run_tasks(tasks, args.jobs)
     rows = []
-    for c, (params, cell_seed) in enumerate(cells):
+    for c, (params, cell_seed, hitting, bounds) in enumerate(cells):
         cell = tallies[c * len(blocks):(c + 1) * len(blocks)]
         est = contact.summarize_survival(params, trials, *map(sum, zip(*cell)), horizon, threshold)
-        hitting = walk.hitting_exact(params.d)
-        rows.append(_survival_row(est, params, hitting, args.bound_k, cell_seed))
+        rows.append(dict(zip(SURVIVAL_COLUMNS, (
+            params.lam, params.d, est.p_hat, est.std_err, est.n_censored, bounds.lower,
+            bounds.upper, bounds.halved, hitting, bounds.level, cell_seed,
+        ))))
     _emit(rows, SURVIVAL_COLUMNS, args, header)
     ok = all(
         r["lower_bound"] - 3 * r["std_err"] <= r["p_hat"] <= r["upper_bound"] + 3 * r["std_err"]
@@ -337,17 +280,13 @@ def cmd_bound(args) -> int:
     hitting = args.hitting if args.hitting is not None else walk.hitting_exact(d)
     floor = analytics.second_moment_survival_bound(lam, hitting, size)
     reach = analytics.reach_probability(lam, d, level)
-    combined = analytics.combined_survival_bound(lam, d, hitting, level)
-    upper = analytics.dominating_walk_survival(lam)
+    bounds = analytics.survival_sandwich(lam, d, hitting, level)
     rows = [{
         "lambda": lam, "d": d, "H": hitting, "set_size": size,
         "floor": floor.value, "vacuous": floor.vacuous, "level": level,
-        "reach": reach, "combined_lower": combined, "upper": upper,
+        "reach": reach, "combined_lower": bounds.lower, "upper": bounds.upper,
     }]
     _emit(rows, list(rows[0].keys()), args, header)
-    if combined > upper + 1e-12:
-        print("bound violation: lower exceeds upper", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -124,6 +124,7 @@ def hitting_exact(d: int) -> float:
 # draws of a few unit steps are ~10ns each while any binomial-family call
 # pays ~1us/row in parameter setup, so short blocks are cheaper done raw
 _RAW_BLOCK_CUTOFF = 96
+MC_CHUNK_WALKS = 200_000  # walks per chunk; chunk c draws from substream c
 
 
 def _advance_raw(pos, rows, ks, d, rng):
@@ -189,7 +190,6 @@ def hitting_mc(
     n_walks: int = 1_000_000,
     max_steps: int = 10_000,
     seed: int = 0,
-    chunk_size: int = 200_000,
 ) -> HittingEstimate:
     """Monte Carlo estimate of the origin-hitting probability from e1.
 
@@ -205,7 +205,7 @@ def hitting_mc(
     done = 0
     chunk = 0
     while done < n_walks:
-        m = min(chunk_size, n_walks - done)
+        m = min(MC_CHUNK_WALKS, n_walks - done)
         rng = np_substream(seed, "hitting-mc", d, chunk)
         hits += _mc_chunk(d, m, max_steps, rng)
         done += m

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contact_mf import analytics
 from contact_mf.analytics import (
     combined_survival_bound,
     dominating_walk_survival,
@@ -17,7 +18,8 @@ from contact_mf.analytics import (
     survival_sandwich,
     threshold_error_bound,
 )
-from contact_mf.errors import UsageError
+from contact_mf.errors import InvariantViolation, UsageError
+from contact_mf.walk import hitting_exact
 
 
 # ---------------------------------------------------------------- ODE
@@ -169,10 +171,53 @@ def test_combined_limit_recovers_mean_field_value():
 
 
 def test_sandwich_orders_and_halves():
-    lower, upper, halved = survival_sandwich(2.0, 8, 0.07, 2)
-    assert 0 < lower <= upper == 0.5 and halved == 0.25
-    lower3, upper3, halved3 = survival_sandwich(3.0, 8, 0.07, 2)
+    lower, upper, halved, level = survival_sandwich(2.0, 8, 0.07, 2)
+    assert 0 < lower <= upper == 0.5 and halved == 0.25 and level == 2
+    lower3, upper3, halved3, _ = survival_sandwich(3.0, 8, 0.07, 2)
     assert upper3 == pytest.approx(2.0 / 3.0) and halved3 == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("lam, hitting, level", [(1.0, 0.1, None), (0.5, 0.1, 4),
+                                                 (2.0, 1.0, None), (2.0, 1.0, 3)])
+def test_sandwich_degenerate_cell_has_zero_floor(lam, hitting, level):
+    # no positive floor below criticality or at a recurrent d (H = 1);
+    # halved is not clipped: -0.5 at lam = 0.5
+    bounds = survival_sandwich(lam, 6, hitting, level)
+    assert bounds.lower == 0.0 and bounds.level == (1 if level is None else level)
+    assert bounds.upper == dominating_walk_survival(lam)
+    assert bounds.halved == (lam - 1.0) / (2.0 * lam)
+
+
+def test_sandwich_refusals(monkeypatch):
+    with pytest.raises(UsageError, match="lambda must be positive"):
+        survival_sandwich(0.0, 4, 0.2)
+    with pytest.raises(UsageError, match="finite dimension"):
+        survival_sandwich(2.0, None, 0.0)
+    with pytest.raises(UsageError, match="dimension must be >= 1"):
+        survival_sandwich(2.0, 0, 0.1)
+    assert survival_sandwich(2.0, None, 0.0, 1).lower == 0.25
+    monkeypatch.setattr(analytics, "combined_survival_bound", lambda *a: 0.75)
+    with pytest.raises(InvariantViolation, match="exceeds upper bound 0.5"):
+        survival_sandwich(2.0, 6, 0.1)
+
+
+_SUPERCRITICAL = st.floats(min_value=1.0, max_value=12.0, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=_SUPERCRITICAL, d=st.integers(min_value=3, max_value=399))
+def test_sandwich_lower_bound_never_falls_as_d_grows(lam, d):
+    here = survival_sandwich(lam, d, hitting_exact(d))
+    above = survival_sandwich(lam, d + 1, hitting_exact(d + 1))
+    assert above.lower >= here.lower
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=_SUPERCRITICAL, d=st.integers(min_value=3, max_value=400))
+def test_sandwich_orders_its_sides_at_a_level_below_2d(lam, d):
+    bounds = survival_sandwich(lam, d, hitting_exact(d))
+    assert 0.0 <= bounds.lower <= bounds.upper
+    assert 1 <= bounds.level <= 2 * d - 1
 
 
 # ------------------------------------------------------ threshold escape

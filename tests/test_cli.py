@@ -7,7 +7,6 @@ point by t=10 at lam=2.  The actual gap decays like e^{-t}/2 and is still
 1e-6 window is reached at t=13.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -16,7 +15,7 @@ import re
 import pytest
 
 from contact_mf import analytics, bcpp, cli, contact
-from contact_mf.cli import SURVIVAL_COLUMNS, ResultRow, main
+from contact_mf.cli import SURVIVAL_COLUMNS, main
 from contact_mf.errors import InvariantViolation
 from contact_mf.lattice import Torus
 from contact_mf.rng import substream
@@ -188,16 +187,8 @@ def test_survival_csv_json_roundtrip(tmp_path, capsys):
             # 17 significant digits: text round-trips to the exact float
             assert float(raw) == row[col]
 
-    restored = ResultRow.from_dict(row)
-    assert restored.to_dict() == row
     assert row["lower_bound"] <= row["upper_bound"]
     assert 0.0 <= row["p_hat"] <= 1.0
-
-
-def test_result_row_fields_follow_csv_columns():
-    # to_dict and from_dict pair fields with SURVIVAL_COLUMNS by position
-    names = [f.name for f in dataclasses.fields(ResultRow)]
-    assert ["lambda" if n == "lam" else n for n in names] == SURVIVAL_COLUMNS
 
 
 def test_same_seed_byte_identical_across_job_counts(tmp_path, capsys):
@@ -222,13 +213,23 @@ def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
     assert "--trials must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--horizon", "-1"), ("--horizon", "nan"), ("--threshold", "0"), ("--bound-k", "0"),
-], ids=["horizon-negative", "horizon-nan", "threshold", "bound-k"])
-def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, monkeypatch, capsys):
+_TRIAL_FLAGS = "need --horizon > 0, --threshold >= 1 and --bound-k >= 1"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "-1", _TRIAL_FLAGS), ("--horizon", "nan", _TRIAL_FLAGS),
+    ("--threshold", "0", _TRIAL_FLAGS), ("--bound-k", "0", _TRIAL_FLAGS),
+    # ContactParams takes lam = 0; the upper bound refuses it, and the
+    # bounds are computed before the header and the pool
+    ("--lambda", "0", "lambda must be positive, got 0.0"),
+], ids=["horizon-negative", "horizon-nan", "threshold", "bound-k", "lambda-zero"])
+def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, message, monkeypatch,
+                                                          capsys):
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     assert main(["survival", "--d", "4", "--trials", "5", "--jobs", "1", flag, value]) == 2
-    assert "need --horizon > 0, --threshold >= 1 and --bound-k >= 1" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("lam, d, best", [(10.0, 2500, 223), (4.0, 5000, 217), (2.0, 6, 1),
@@ -240,7 +241,8 @@ def test_best_level_matches_a_brute_force_scan(lam, d, best):
     values = [analytics.combined_survival_bound(lam, d, h, k) for k in range(1, 4 * d + 1)]
     top = max(values)
     assert values.index(top) + 1 == best
-    assert cli._best_level(lam, d, h) == (best, top)
+    bounds = analytics.survival_sandwich(lam, d, h)
+    assert (bounds.level, bounds.lower) == (best, top)
 
 
 def test_survival_and_bound_use_the_exact_h_and_never_walk(monkeypatch, capsys):
