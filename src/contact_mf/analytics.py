@@ -47,8 +47,8 @@ def solve_mean_field_ode(lam: float, t_end: float, dt: float) -> OdeSolution:
     """
     if not (lam > 0):
         raise UsageError(f"lambda must be positive, got {lam}")
-    if not (t_end > 0 and dt > 0):
-        raise UsageError("t_end and dt must be positive")
+    if not (0 < t_end < math.inf and dt > 0):
+        raise UsageError(f"t_end must be positive and finite and dt positive, got {t_end}, {dt}")
     if dt > t_end:
         raise UsageError(f"dt={dt} exceeds t_end={t_end}")
     n_full = int(t_end / dt)
@@ -201,6 +201,8 @@ def survival_sandwich(
     halved = (lam - 1.0) / (2.0 * lam)
     if level is None and d is None:
         raise UsageError("choosing the level needs a finite dimension d")
+    if level is not None and level < 1:
+        raise UsageError(f"level must be >= 1, got {level}")
     if lam <= 1.0 or hitting >= 1.0:
         return Sandwich(0.0, upper, halved, 1 if level is None else level)
     if level is None:

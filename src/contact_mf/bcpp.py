@@ -171,8 +171,8 @@ def run_coupled(lam: float, torus: Torus, horizon: float, rng) -> int:
     Returns the number of events up to the horizon (the wait to the first
     event past it is drawn, but that event is neither counted nor checked).
     """
-    if not (horizon > 0):
-        raise UsageError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise UsageError(f"horizon must be positive and finite, got {horizon}")
     field = BcppField(torus, lam)
     infected = set(field.support)
     events = 0
@@ -225,8 +225,8 @@ def checkpoint_times(times) -> list[float]:
     if not all(isinstance(t, numbers.Real) for t in points):
         raise UsageError(f"checkpoint times must be real numbers, got {times!r}")
     ordered = sorted(float(t) for t in points)
-    if not ordered or not all(t >= 0 for t in ordered):
-        raise UsageError(f"checkpoint times must be >= 0, got {times!r}")
+    if not ordered or not all(0 <= t < math.inf for t in ordered):
+        raise UsageError(f"checkpoint times must be >= 0 and finite, got {times!r}")
     return ordered
 
 
@@ -282,8 +282,8 @@ def pair_moment_mc(
     mean as the origin pair but much smaller variance.  Returns
     (offset, mean, std_err) rows.
     """
-    if not (t >= 0):
-        raise UsageError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise UsageError(f"time must be >= 0 and finite, got {t}")
     perms = [torus.translation(u) for u in offsets]
 
     def trial_values(trial):

@@ -111,7 +111,7 @@ def _resolve(args: argparse.Namespace, section: dict) -> None:
     """Fill each option the flags left at None: from the config section
     (keys are flags without their dashes, '-' or '_' alike), else from the
     option table's default."""
-    _, options = _OPTIONS[args.command]
+    _, _, options = _COMMANDS[args.command]
     rows = {flag[2:]: (spec, default) for flag, spec, default, _ in options + _COMMON}
     values = {key.replace("_", "-"): raw for key, raw in section.items()}
     unknown = sorted(values.keys() - rows.keys())
@@ -170,34 +170,32 @@ def _blocks(trials: int, jobs: int) -> list[range]:
 
 
 def _survival_cell(task: tuple):
-    """Run one pool task; every command's pool maps this one function.
-
-    ("trials", params, block, horizon, threshold, cell_seed) returns the
-    (n_reached, n_censored) survival tally of the trial indices in range
-    `block`; ("duality", params, t, block, seed) their (survived, covered)
-    duality tally; ("coupled", lam, torus, horizon, block, seed) their
-    summed bcpp coupled-run event count; ("first-moment", lam, torus,
-    checkpoints, block, seed) one row of origin values per trial.
-    """
-    kind, *spec = task
-    if kind == "coupled":
-        lam, torus, horizon, block, seed = spec
-        return sum(bcpp.run_coupled(lam, torus, horizon, substream(seed, "coupled", i))
-                   for i in block)
-    tally = {"trials": contact.tally_survival, "duality": contact.tally_duality,
-             "first-moment": bcpp.first_moment_values}[kind]
-    return tally(*spec)
+    """Run one pool task, a (block function, *args) tuple; every command's
+    pool maps this one function."""
+    block_fn, *args = task
+    return block_fn(*args)
 
 
-def _run_tasks(tasks: list, jobs: int) -> list:
-    """_survival_cell of every task, in task order: on a pool of `jobs`
-    workers, never more than there are tasks, or in process when that
-    leaves one.  A worker's exception is raised here, in the parent."""
+def _run_tasks(groups: list[list], jobs: int) -> list[list]:
+    """_survival_cell of every task, regrouped as `groups` lists them: on a
+    pool of `jobs` workers, never more than there are tasks, or in process
+    when that leaves one.  A worker's exception is raised here, in the
+    parent."""
+    tasks = [task for group in groups for task in group]
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [_survival_cell(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_survival_cell, tasks))
+        results = [_survival_cell(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_survival_cell, tasks))
+    flat = iter(results)
+    return [[next(flat) for _ in group] for group in groups]
+
+
+def _coupled_events(lam: float, torus: Torus, horizon: float, block: range, seed: int) -> int:
+    """Summed bcpp coupled-run event count of the trial indices in `block`."""
+    return sum(bcpp.run_coupled(lam, torus, horizon, substream(seed, "coupled", i))
+               for i in block)
 
 
 def cmd_survival(args) -> int:
@@ -227,12 +225,10 @@ def cmd_survival(args) -> int:
     )
     print(f"# {header}")
     blocks = _blocks(trials, args.jobs)
-    tasks = [("trials", params, block, horizon, threshold, cell_seed)
-             for params, cell_seed, _, _ in cells for block in blocks]
-    tallies = _run_tasks(tasks, args.jobs)
+    groups = [[(contact.tally_survival, params, block, horizon, threshold, cell_seed)
+               for block in blocks] for params, cell_seed, _, _ in cells]
     rows = []
-    for c, (params, cell_seed, hitting, bounds) in enumerate(cells):
-        cell = tallies[c * len(blocks):(c + 1) * len(blocks)]
+    for (params, cell_seed, hitting, bounds), cell in zip(cells, _run_tasks(groups, args.jobs)):
         est = contact.summarize_survival(params, trials, *map(sum, zip(*cell)), horizon, threshold)
         rows.append(dict(zip(SURVIVAL_COLUMNS, (
             params.lam, params.d, est.p_hat, est.std_err, est.n_censored, bounds.lower,
@@ -298,18 +294,18 @@ def cmd_hitting(args) -> int:
     rows = []
     if args.kesten is not None:
         try:
-            table = walk.kesten_check(args.kesten, n_walks=args.walks,
-                                      max_steps=args.max_steps, seed=seed)
+            table, violation = walk.kesten_check(args.kesten, n_walks=args.walks,
+                                                 max_steps=args.max_steps, seed=seed), None
         except InvariantViolation as exc:
-            for dd, h, scaled, se in getattr(exc, "rows", []):
-                print(f"  d={dd}: h={h:.6f}  2dh={scaled:.4f}  se={se:.2e}")
-            print(f"kesten-window violation: {exc}", file=sys.stderr)
-            return 1
+            table, violation = exc.rows, exc
         rows = [
             {"d": dd, "H": h, "two_d_H": s, "std_err": se}
             for dd, h, s, se in table
         ]
         _emit(rows, ["d", "H", "two_d_H", "std_err"], args, header)
+        if violation is not None:
+            print(f"kesten-window violation: {violation}", file=sys.stderr)
+            return 1
         return 0
     if method in ("monte-carlo", "both"):
         est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=seed)
@@ -319,7 +315,7 @@ def cmd_hitting(args) -> int:
             "bracket_low": float("nan"), "bracket_high": float("nan"),
         })
     if method in ("harmonic-solve", "both"):
-        _, est = walk.hitting_harmonic(d, args.radius)
+        est = walk.hitting_harmonic(d, args.radius)
         rows.append({
             "d": d, "method": est.method, "H": est.h, "std_err": float("nan"),
             "bracket_low": est.bracket[0], "bracket_high": est.bracket[1],
@@ -332,15 +328,16 @@ def cmd_duality(args) -> int:
     lam, d, side, t, trials = args.lam, args.d, args.torus_side, args.t, args.trials
     seed = _resolve_seed(args)
     # refused here, before any worker starts
-    if not (t >= 0):
-        raise UsageError(f"time must be >= 0, got {t}")
+    if not 0 <= t < float("inf"):
+        raise UsageError(f"time must be >= 0 and finite, got {t}")
     if trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {trials}")
     header = "P(eta_t^O nonempty) = P(eta_t^full(O) = 1) on a torus (self-duality)"
     print(f"# {header}")
     params = contact.ContactParams(lam, d, Torus(d, side))
-    tasks = [("duality", params, t, block, seed) for block in _blocks(trials, args.jobs)]
-    tallies = _run_tasks(tasks, args.jobs)
+    tasks = [(contact.tally_duality, params, t, block, seed)
+             for block in _blocks(trials, args.jobs)]
+    (tallies,) = _run_tasks([tasks], args.jobs)
     res = contact.summarize_duality(*map(sum, zip(*tallies)), trials)
     rows = [{
         "lambda": lam, "d": d, "torus_side": side, "t": t,
@@ -362,8 +359,8 @@ def cmd_bcpp_check(args) -> int:
     # refused here, before any worker starts
     if not (lam > 0):
         raise UsageError(f"infection rate must be positive, got {lam}")
-    if not (horizon > 0):
-        raise UsageError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < float("inf"):
+        raise UsageError(f"horizon must be positive and finite, got {horizon}")
     if trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {trials}")
     checkpoints = bcpp.checkpoint_times(args.times)
@@ -371,14 +368,13 @@ def cmd_bcpp_check(args) -> int:
     print(f"# {header}")
     torus = Torus(args.d, args.torus_side)
     # one pool for both checks, the longer first-moment blocks first
-    tasks = [("first-moment", lam, torus, checkpoints, block, seed)
-             for block in _blocks(max(2000, trials), jobs)]
-    n_moment = len(tasks)
-    tasks += [("coupled", lam, torus, horizon, block, seed) for block in _blocks(trials, jobs)]
-    results = _run_tasks(tasks, jobs)
-    events = sum(results[n_moment:])
-    print(f"coupling: {trials} trials, {events} events, zero support mismatches")
-    table = bcpp.mean_rows(checkpoints, (row for block in results[:n_moment] for row in block))
+    moment_blocks, coupled = _run_tasks([
+        [(bcpp.first_moment_values, lam, torus, checkpoints, block, seed)
+         for block in _blocks(max(2000, trials), jobs)],
+        [(_coupled_events, lam, torus, horizon, block, seed) for block in _blocks(trials, jobs)],
+    ], jobs)
+    print(f"coupling: {trials} trials, {sum(coupled)} events, zero support mismatches")
+    table = bcpp.mean_rows(checkpoints, (row for block in moment_blocks for row in block))
     rows = [
         {"t": t, "mean_value_origin": m, "std_err": se,
          "z_score": (m - 1.0) / se if se > 0 else 0.0}
@@ -412,7 +408,7 @@ def cmd_moments(args) -> int:
         f"(radius <= {report.interior_radius}), origin row {report.origin_row:.3e}, "
         f"boundary sup {report.sup_boundary:.3e}; b = {sv.offset:.6f}"
     )
-    table = moments.second_moment_bound_check(lam, d, radius, args.t, args.set_size)
+    table = moments.second_moment_bound_check(gen, sv, args.t, args.set_size)
     rows = [
         {"set_size": r.set_size, "lhs": r.lhs, "rhs": r.rhs,
          "cs_bound": r.cs_bound, "closed_bound": r.closed_bound}
@@ -426,17 +422,6 @@ def cmd_moments(args) -> int:
 # campaign
 # ---------------------------------------------------------------------------
 
-_HANDLERS = {
-    "survival": cmd_survival,
-    "ode": cmd_ode,
-    "bound": cmd_bound,
-    "hitting": cmd_hitting,
-    "duality": cmd_duality,
-    "bcpp-check": cmd_bcpp_check,
-    "moments": cmd_moments,
-}
-
-
 def cmd_campaign(args) -> int:
     if not args.config:
         raise UsageError("campaign requires --config with one section per subcommand")
@@ -447,14 +432,14 @@ def cmd_campaign(args) -> int:
         )
     worst = 0
     for section, values in _read_config(args.config).items():
-        if section not in _HANDLERS:
+        if section not in _COMMANDS or section == "campaign":
             raise UsageError(f"config section [{section}] is not a subcommand")
         print(f"== {section} ==")
         sub_args = _parse([section])
         # flags first, so the config's seed and jobs only fill in when absent
         sub_args.seed, sub_args.jobs = args.seed, args.jobs
         _resolve(sub_args, values)
-        worst = max(worst, _HANDLERS[section](sub_args))
+        worst = max(worst, _COMMANDS[section][0](sub_args))
     return worst
 
 
@@ -475,8 +460,10 @@ _COMMON = [
 
 _H_IGNORED = "ignored: H(d) is exact; kept so existing command lines and configs still run"
 
-_OPTIONS = {
-    "survival": ("survival-probability campaign over a (lambda, d) grid", [
+# command -> (handler, summary, options): drives the flags, the config
+# keys, the campaign's sections and the dispatch
+_COMMANDS = {
+    "survival": (cmd_survival, "survival-probability campaign over a (lambda, d) grid", [
         ("--lambda", _float_list, (2.0,), "comma-separated infection rates"),
         ("--d", _int_list, (4, 6, 8), "comma-separated dimensions"),
         ("--trials", int, 2000, "trials per cell"),
@@ -486,19 +473,19 @@ _OPTIONS = {
         ("--h-walks", int, None, _H_IGNORED),
         ("--h-max-steps", int, None, _H_IGNORED),
     ]),
-    "ode": ("mean-field ODE vs closed form", [
+    "ode": (cmd_ode, "mean-field ODE vs closed form", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--t-end", float, 10.0, "end time"),
         ("--dt", float, 1e-3, "RK4 step"),
     ]),
-    "bound": ("analytic survival floors for one (lambda, d)", [
+    "bound": (cmd_bound, "analytic survival floors for one (lambda, d)", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--d", int, 6, "dimension"),
         ("--hitting", float, None, "override the exact H"),
         ("--set-size", int, 1, "seed-set size of the floor"),
         ("--level", int, None, "seed-set level of the combined bound (default: --set-size)"),
     ]),
-    "hitting": ("walk hitting probability H(d)", [
+    "hitting": (cmd_hitting, "walk hitting probability H(d)", [
         ("--d", int, 3, "dimension"),
         ("--method", ("monte-carlo", "harmonic-solve", "both"), "both", "estimator"),
         ("--walks", int, 1_000_000, "Monte Carlo walks"),
@@ -506,14 +493,14 @@ _OPTIONS = {
         ("--radius", int, 20, "box radius of the harmonic solve"),
         ("--kesten", _int_list, None, "comma-separated dimensions for the 2dH sweep"),
     ]),
-    "duality": ("single-site vs all-infected agreement on a torus", [
+    "duality": (cmd_duality, "single-site vs all-infected agreement on a torus", [
         ("--lambda", float, 1.5, "infection rate"),
         ("--d", int, 2, "dimension"),
         ("--torus-side", int, 8, "torus side length"),
         ("--t", float, 3.0, "time of the comparison"),
         ("--trials", int, 10_000, "paired trials"),
     ]),
-    "bcpp-check": ("support coupling and first-moment calibration", [
+    "bcpp-check": (cmd_bcpp_check, "support coupling and first-moment calibration", [
         ("--lambda", float, 1.5, "infection rate"),
         ("--d", int, 2, "dimension"),
         ("--torus-side", int, 6, "torus side length"),
@@ -521,14 +508,14 @@ _OPTIONS = {
         ("--trials", int, 100, "coupled runs"),
         ("--times", _float_list, (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
     ]),
-    "moments": ("correlation evolution, stationary vector, pair bounds", [
+    "moments": (cmd_moments, "correlation evolution, stationary vector, pair bounds", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--d", int, 4, "dimension"),
         ("--radius", int, 10, "truncation radius"),
         ("--t", float, 1.0, "evolution time"),
         ("--set-size", int, 3, "largest seed-set size"),
     ]),
-    "campaign": ("run every section of a config file", []),
+    "campaign": (cmd_campaign, "run every section of a config file", []),
 }
 
 
@@ -544,7 +531,7 @@ def _parse(argv) -> argparse.Namespace:
         ),
     )
     subs = top.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in _OPTIONS.items():
+    for command, (_, summary, options) in _COMMANDS.items():
         p = subs.add_parser(command, help=summary)
         for flag, spec, default, text in options + _COMMON:
             kind = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
@@ -558,10 +545,9 @@ def _parse(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse(argv if argv is not None else sys.argv[1:])
     try:
-        if args.command == "campaign":
-            return cmd_campaign(args)
-        _resolve(args, _read_config(args.config).get(args.command, {}) if args.config else {})
-        return _HANDLERS[args.command](args)
+        if args.command != "campaign":
+            _resolve(args, _read_config(args.config).get(args.command, {}) if args.config else {})
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

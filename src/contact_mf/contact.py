@@ -384,8 +384,8 @@ def duality_check(
     """
     if params.geometry is None:
         raise UsageError("duality_check needs a Torus geometry")
-    if not (t >= 0):
-        raise UsageError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise UsageError(f"time must be >= 0 and finite, got {t}")
     counts = tally_duality(params, t, range(n_trials), seed)
     return summarize_duality(*counts, n_trials)
 

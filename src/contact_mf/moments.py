@@ -18,6 +18,9 @@ the combination L = h + b satisfies A L = 0 exactly on interior rows
 boundary pick up -b*lam*(dropped neighbors)/d, which is <= 0 when b > 0).
 So L/b dominates F_t for all time whenever b > 0, turning the evolved
 correlations into rigorous survival lower bounds for finite seed sets.
+A caller builds the generator and L once and hands both to the checks;
+build_stationary takes h from walk.absorbing_solve, on the generator's
+classes in the generator's order (both read one cached class table).
 A is self-adjoint once classes are weighted by their orbit sizes, so h
 comes from conjugate gradients and F_t from a Chebyshev expansion.
 """
@@ -88,13 +91,6 @@ class CorrelationGenerator:
         out = (self.lam / self.d) * ext[self._nbr_idx].sum(axis=1) - (2.0 * self.lam) * vec
         out[self.o] = (1.0 - self.lam) * vec[self.o] + 2.0 * self.lam * vec[self.e1]
         return out
-
-    def matched_hitting(self) -> np.ndarray:
-        """Dirichlet h on the same classes with the same absorbing radius."""
-        classes, h = absorbing_solve(self.d, self.radius)
-        if classes != self.classes:
-            raise InvariantViolation("Dirichlet solve and generator disagree on class order")
-        return h
 
 
 @dataclass
@@ -175,7 +171,8 @@ class StationaryVector:
 
 
 def build_stationary(gen: CorrelationGenerator) -> StationaryVector:
-    h = gen.matched_hitting()
+    """L = h + b, with h the Dirichlet solve on the generator's classes."""
+    _, h = absorbing_solve(gen.d, gen.radius)
     h_e1 = float(h[gen.e1])
     b = stationary_offset(gen.lam, h_e1)
     return StationaryVector(
@@ -243,13 +240,13 @@ class PairBoundRow:
 
 
 def second_moment_bound_check(
-    lam: float,
-    d: int,
-    radius: int,
+    gen: CorrelationGenerator,
+    sv: StationaryVector,
     t: float,
     max_set_size: int,
 ) -> list[PairBoundRow]:
-    """Evolve F to time t and check the bound chain on axis segments.
+    """Evolve gen's F to time t and check the bound chain, with sv =
+    build_stationary(gen), on axis segments.
 
     Seed sets are A = {0, e1, 2*e1, ...} of each size up to max_set_size.
     For each, lhs = sum_{u,v in A} F_t(u - v) must stay below
@@ -261,22 +258,20 @@ def second_moment_bound_check(
     """
     if max_set_size < 1:
         raise UsageError(f"max_set_size must be >= 1, got {max_set_size}")
-    if max_set_size >= radius:
+    if max_set_size >= gen.radius:
         raise UsageError(
-            f"segment of size {max_set_size} does not fit inside radius {radius}"
+            f"segment of size {max_set_size} does not fit inside radius {gen.radius}"
         )
-    gen = CorrelationGenerator(lam, d, radius)
-    sv = build_stationary(gen)
     if not sv.positive:
         raise NumericalError(
-            f"offset b = {sv.offset:.6f} <= 0 at lam={lam}, d={d} (truncated "
+            f"offset b = {sv.offset:.6f} <= 0 at lam={gen.lam}, d={gen.d} (truncated "
             f"h(e1) = {sv.hitting_e1:.6f}): the second-moment bound is vacuous here"
         )
     state = evolve_correlations(gen, t)
     h1 = sv.hitting_e1
     b = sv.offset
-    f_origin = state.value(origin(d))
-    e1 = unit_vector(d)
+    f_origin = state.value(origin(gen.d))
+    e1 = unit_vector(gen.d)
     rows = []
     for size in range(1, max_set_size + 1):
         lhs = size * f_origin
@@ -287,7 +282,7 @@ def second_moment_bound_check(
         rhs = numerator / b
         cs_bound = size * size / lhs
         closed = size * size * b / numerator
-        lemma = second_moment_survival_bound(lam, h1, size)
+        lemma = second_moment_survival_bound(gen.lam, h1, size)
         if lhs > rhs + PAIR_BOUND_TOL:
             raise InvariantViolation(
                 f"pair-sum bound violated for size {size}: lhs {lhs:.9f} > "

@@ -15,12 +15,14 @@ Three independent routes to the same number:
 
 * ``hitting_harmonic`` — the discrete Dirichlet problem on a sup-norm box:
   h is harmonic away from the origin, pinned to 1 there, and 0 outside the
-  box.  Solved by conjugate gradients over canonical octant classes.
-  The absorbing solve is a rigorous lower bound for the infinite-lattice
-  value; the reported bracket pads it with twice the observed increment
-  between radius R and R//2 (the truncation deficit shrinks like 1/R, so
-  doubling the last observed gain over-covers what remains).  Solves and
-  the class tables under them run once per process, cached and read-only.
+  box.  ``absorbing_solve`` solves it by conjugate gradients over canonical
+  octant classes and returns every class's value; ``hitting_harmonic``
+  returns only the estimate at e1.  The absorbing solve is a rigorous lower
+  bound for the infinite-lattice value; the estimate's bracket pads it
+  with twice the observed increment between radius R and R//2 (the
+  truncation deficit shrinks like 1/R, so doubling the last observed gain
+  over-covers what remains).  Solves and the class tables under them run
+  once per process, cached and read-only.
 
 Everything downstream that needs a return probability (offset of the
 stationary correlation vector, pair bounds, survival floors) pulls it
@@ -288,34 +290,28 @@ def absorbing_solve(d: int, radius: int, /):
     return classes, h[:n].copy()
 
 
-def hitting_harmonic(
-    d: int, radius: int
-) -> tuple[dict[tuple[int, ...], float], HittingEstimate]:
+def hitting_harmonic(d: int, radius: int) -> HittingEstimate:
     """Dirichlet-problem estimate of the hitting probability, with bracket.
 
-    Returns (class_values, estimate): class_values maps each canonical
-    class with sup-norm <= radius-1 to its absorbing-boundary h.  The
-    estimate's h is the absorbing value at e1 — a rigorous lower bound
+    The estimate's h is the absorbing value at e1 — a rigorous lower bound
     for the infinite lattice — and bracket = (h_R, h_R + 2*(h_R - h_{R//2}))
-    clamped to [0, 1].
+    clamped to [0, 1].  The per-class values are absorbing_solve(d, radius).
     """
     classes, h = absorbing_solve(d, radius)
-    values = dict(zip(classes, h.tolist()))
     e1 = unit_vector(d)
-    lower = values[e1]
+    lower = float(h[classes.index(e1)])
     if radius // 2 >= 2:
         half_classes, h_half = absorbing_solve(d, radius // 2)
         h_half_e1 = h_half[half_classes.index(e1)]
         upper = min(1.0, lower + 2.0 * max(0.0, lower - h_half_e1))
     else:
         upper = 1.0
-    estimate = HittingEstimate(
+    return HittingEstimate(
         h=lower,
         method="harmonic-solve",
         truncation=radius,
         bracket=(lower, upper),
     )
-    return values, estimate
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_criterion_04_hitting_probability(criterion_report):
     est = walk.hitting_mc(3, n_walks=1_000_000, max_steps=100_000, seed=0)
     z = (est.h - D3_RETURN) / est.std_err
     mc_ok = abs(est.h - D3_RETURN) < 3 * est.std_err
-    _, harm = walk.hitting_harmonic(3, 20)
+    harm = walk.hitting_harmonic(3, 20)
     lo, hi = harm.bracket
     bracket_ok = lo <= D3_RETURN <= hi
     try:
@@ -221,7 +221,7 @@ def test_criterion_08_pair_bound(criterion_report):
             gen = moments.CorrelationGenerator(2.0, d, 8)
             sv = moments.build_stationary(gen)
             for t in (0.5, 1.0):
-                rows = moments.second_moment_bound_check(2.0, d, 8, t, 3)
+                rows = moments.second_moment_bound_check(gen, sv, t, 3)
                 slack = min(r.rhs + 1e-6 - r.lhs for r in rows)
                 if slack < 0:
                     ok = False

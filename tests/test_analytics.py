@@ -54,7 +54,8 @@ def test_ode_rejects_bad_steps():
         solve_mean_field_ode(2.0, 1.0, 2.0)
     with pytest.raises(UsageError):
         solve_mean_field_ode(-1.0, 1.0, 0.1)
-    for args in ((math.nan, 1.0, 0.1), (2.0, math.nan, 0.1), (2.0, 1.0, math.nan)):
+    for args in ((math.nan, 1.0, 0.1), (2.0, math.nan, 0.1), (2.0, 1.0, math.nan),
+                 (2.0, math.inf, 0.1)):
         with pytest.raises(UsageError):
             solve_mean_field_ode(*args)
 
@@ -195,6 +196,11 @@ def test_sandwich_refusals(monkeypatch):
         survival_sandwich(2.0, None, 0.0)
     with pytest.raises(UsageError, match="dimension must be >= 1"):
         survival_sandwich(2.0, 0, 0.1)
+    # degenerate cells too, which never reach reach_probability's check
+    with pytest.raises(UsageError, match="level must be >= 1, got 0"):
+        survival_sandwich(0.5, 4, 0.1, 0)
+    with pytest.raises(UsageError, match="level must be >= 1, got -3"):
+        survival_sandwich(2.0, 2, 1.0, -3)
     assert survival_sandwich(2.0, None, 0.0, 1).lower == 0.25
     monkeypatch.setattr(analytics, "combined_survival_bound", lambda *a: 0.75)
     with pytest.raises(InvariantViolation, match="exceeds upper bound 0.5"):

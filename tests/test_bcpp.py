@@ -131,6 +131,9 @@ def test_coupled_replay_detects_support_mismatch(monkeypatch):
 def test_coupled_rejects_nonpositive_horizon():
     with pytest.raises(UsageError):
         run_coupled(1.5, T26, 0.0, random.Random(0))
+    # the field's event rate never drops, so an infinite run never ends
+    with pytest.raises(UsageError, match="positive and finite"):
+        run_coupled(1.5, T26, math.inf, random.Random(0))
 
 
 def test_first_moment_time_zero_is_exact():
@@ -157,6 +160,8 @@ def test_first_moment_input_validation():
         first_moment_check(2.0, T26, [1.0], 1, seed=0)
     with pytest.raises(UsageError):
         first_moment_check(2.0, T26, [-1.0], 100, seed=0)
+    with pytest.raises(UsageError, match="finite"):
+        first_moment_check(2.0, T26, [0.5, math.inf], 100, seed=0)
 
 
 @pytest.mark.parametrize("times", ["0.5", [0.5, "1.0"], [None], "0.5,1.0"])
@@ -180,3 +185,5 @@ def test_pair_moment_determinism_and_shapes():
     assert [u for u, _, _ in rows_a] == [(0, 0), (1, 0), (2, 0)]
     with pytest.raises(UsageError):
         pair_moment_mc(1.5, T26, 0.8, [(0, 0, 0)], 40, seed=3)
+    with pytest.raises(UsageError, match="finite"):
+        pair_moment_mc(1.5, T26, math.inf, [(0, 0)], 1, seed=3)

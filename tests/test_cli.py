@@ -149,13 +149,31 @@ def test_hitting_example_near_oracle(capsys):
     assert abs(float(values["H"]) - 0.340537) < 0.004
 
 
+_KESTEN = ["hitting", "--kesten", "8,10", "--walks", "600000", "--max-steps", "2000",
+           "--seed", "2"]
+
+
 def test_kesten_sweep_reports_window_violation(capsys):
-    rc = main(["hitting", "--kesten", "8,10", "--walks", "600000",
-               "--max-steps", "2000", "--seed", "2"])
+    rc = main(_KESTEN)
     captured = capsys.readouterr()
     assert rc == 1
     assert "kesten-window violation" in captured.err
-    assert "d=8" in captured.out
+    rows = _table_rows(captured.out)
+    assert rows[0] == ["d", "H", "two_d_H", "std_err"]
+    assert [r[0] for r in rows[1:]] == ["8", "10"]
+    assert float(rows[1][2]) > 1.15     # the d = 8 row is the one outside the window
+
+
+def test_kesten_window_violation_still_writes_out(tmp_path, capsys):
+    # the same walks as above (cached): the table is written, then exit 1
+    out = tmp_path / "k.csv"
+    assert main(_KESTEN + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "wrote 2 row(s)" in captured.out
+    assert "kesten-window violation" in captured.err
+    lines = out.read_text().splitlines()
+    assert lines[1] == "d,H,two_d_H,std_err"
+    assert [ln.split(",")[0] for ln in lines[2:]] == ["8", "10"]
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +393,14 @@ def test_campaign_runs_each_section(tmp_path, capsys):
     assert "== bound ==" in out
 
 
-def test_campaign_rejects_unknown_section(tmp_path):
+def test_campaign_rejects_unknown_section(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[not-a-command]\nx = 1\n")
     assert main(["campaign", "--config", str(cfg)]) == 2
+    # campaign has a row in the command table, but is no section
+    cfg.write_text(f"[campaign]\nconfig = {cfg}\n")
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count("config section [") == 2
 
 
 def test_campaign_seed_flows_into_sections(tmp_path, capsys):
@@ -585,6 +607,25 @@ def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     assert main(argv + ["--jobs", "1"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["duality", "--lambda", "3", "--t", "inf", "--trials", "1"], "time must be >= 0 and finite"),
+    (_BCPP + ["--horizon", "inf"], "horizon must be positive and finite"),
+    (_BCPP + ["--times", "0.5,inf"], "checkpoint times must be >= 0 and finite"),
+    (["ode", "--t-end", "inf"], "t_end must be positive and finite"),
+], ids=["duality-t", "bcpp-horizon", "bcpp-times", "ode-t-end"])
+def test_infinite_time_exits_2_before_any_task(argv, message, monkeypatch, capsys):
+    # each of these would run forever (or overflow) if it got past its check
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
+    assert main(argv + ["--jobs", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_survival_accepts_an_infinite_horizon():
+    # each trial still ends, at extinction or at the threshold
+    assert main(["survival", "--d", "4", "--trials", "20", "--horizon", "inf",
+                 "--threshold", "50", "--seed", "3", "--jobs", "1"]) == 0
 
 
 @pytest.mark.parametrize("argv, coupling", [(_DUALITY, []), (_BCPP, ["coupling: 30 trials"])],

@@ -283,6 +283,8 @@ def test_duality_needs_torus_and_nonnegative_time():
         duality_check(ContactParams(1.5, 2, Torus(2, 6)), -1.0, 10, seed=0)
     with pytest.raises(UsageError):
         duality_check(ContactParams(1.5, 2, Torus(2, 6)), math.nan, 10, seed=0)
+    with pytest.raises(UsageError, match="finite"):
+        duality_check(ContactParams(3.0, 2, Torus(2, 6)), math.inf, 1, seed=0)
 
 
 # ------------------------------------------------------------- coupling

@@ -121,7 +121,10 @@ def _reference_class_table(d, m):
 
 
 @pytest.mark.parametrize(
-    "d, m", [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 5), (3, 4), (4, 3), (6, 9), (40, 1)]
+    "d, m",
+    # from (40, 1) on, radix**d >= 2**63 and the table keys on Python ints
+    [(1, 0), (1, 1), (1, 6), (2, 0), (2, 1), (2, 5), (3, 4), (4, 3), (6, 9), (40, 1), (32, 2),
+     (64, 1)],
 )
 def test_class_neighbor_table_matches_nested_loop_reference(d, m):
     classes, index, nbr = class_neighbor_table(d, m)

@@ -158,7 +158,8 @@ def test_evolved_correlations_stay_under_stationary_envelope():
 
 
 def test_pair_bound_rows_at_time_zero():
-    rows = second_moment_bound_check(2.0, 4, radius=8, t=0.0, max_set_size=3)
+    gen = CorrelationGenerator(2.0, 4, radius=8)
+    rows = second_moment_bound_check(gen, build_stationary(gen), t=0.0, max_set_size=3)
     for row in rows:
         assert row.lhs == pytest.approx(row.set_size**2)
         assert row.cs_bound == pytest.approx(1.0)
@@ -166,7 +167,8 @@ def test_pair_bound_rows_at_time_zero():
 
 
 def test_pair_bound_inequality_holds_d4():
-    rows = second_moment_bound_check(2.0, 4, radius=8, t=1.0, max_set_size=3)
+    gen = CorrelationGenerator(2.0, 4, radius=8)
+    rows = second_moment_bound_check(gen, build_stationary(gen), t=1.0, max_set_size=3)
     assert [r.set_size for r in rows] == [1, 2, 3]
     for row in rows:
         assert row.lhs <= row.rhs + 1e-6
@@ -177,15 +179,16 @@ def test_pair_bound_refuses_vacuous_offset_domain():
     # lam=2, d=3: the truncated hitting value pushes the offset negative,
     # so no finite envelope exists and the check must refuse loudly
     with pytest.raises(NumericalError):
-        second_moment_bound_check(2.0, 3, radius=8, t=1.0, max_set_size=2)
+        gen = CorrelationGenerator(2.0, 3, radius=8)
+        second_moment_bound_check(gen, build_stationary(gen), t=1.0, max_set_size=2)
 
 
 def test_dirichlet_solve_runs_once_per_radius_across_callers():
     absorbing_solve.cache_clear()
-    _, est = hitting_harmonic(6, 10)
+    est = hitting_harmonic(6, 10)
     assert absorbing_solve.cache_info().misses == 2    # radius 10 and 10 // 2
     gen = CorrelationGenerator(2.0, 6, 10)
-    h = gen.matched_hitting()
+    h_e1 = build_stationary(gen).hitting_e1
     info = absorbing_solve.cache_info()
     assert (info.misses, info.hits) == (2, 1)
-    assert h[gen.e1] == est.h
+    assert h_e1 == est.h

@@ -101,7 +101,8 @@ def test_mc_rejects_bad_arguments():
 
 
 def test_harmonic_d1_is_gamblers_ruin():
-    values, est = hitting_harmonic(1, radius=10)
+    est = hitting_harmonic(1, radius=10)
+    values = dict(zip(*absorbing_solve(1, 10)))
     for k in range(1, 10):
         assert abs(values[(k,)] - (10 - k) / 10) < 1e-8
     assert abs(est.h - 0.9) < 1e-8
@@ -110,7 +111,8 @@ def test_harmonic_d1_is_gamblers_ruin():
 
 
 def test_harmonic_d3_bracket_contains_reference():
-    values, est = hitting_harmonic(3, radius=20)
+    est = hitting_harmonic(3, radius=20)
+    values = dict(zip(*absorbing_solve(3, 20)))
     lo, hi = est.bracket
     assert lo <= D3_RETURN <= hi
     assert lo == est.h == values[(1, 0, 0)]
@@ -118,7 +120,7 @@ def test_harmonic_d3_bracket_contains_reference():
 
 
 def test_harmonic_lower_bound_grows_with_radius():
-    hs = [hitting_harmonic(3, radius=r)[1].h for r in (6, 10, 14)]
+    hs = [hitting_harmonic(3, radius=r).h for r in (6, 10, 14)]
     assert hs[0] < hs[1] < hs[2] < D3_RETURN
 
 
@@ -198,6 +200,6 @@ def test_stationary_offset_arithmetic():
 
 def test_bracket_upper_never_exceeds_one():
     for d, r in [(2, 8), (3, 8), (4, 6)]:
-        _, est = hitting_harmonic(d, radius=r)
+        est = hitting_harmonic(d, radius=r)
         lo, hi = est.bracket
         assert 0 < lo <= hi <= 1.0
