@@ -10,6 +10,7 @@ from .analytics import (
     reach_probability,
     second_moment_survival_bound,
     solve_mean_field_ode,
+    stationary_offset,
     survival_sandwich,
     threshold_error_bound,
 )
@@ -23,7 +24,7 @@ from .contact import (
     run_trial,
 )
 from .errors import InvariantViolation, NumericalError, UsageError
-from .lattice import Torus, canonical_classes, origin, unit_vector
+from .lattice import Torus, origin, unit_vector
 from .moments import (
     CorrelationGenerator,
     build_stationary,
@@ -32,7 +33,7 @@ from .moments import (
     verify_stationary,
 )
 from .rng import np_substream, stream_key, substream
-from .walk import hitting_exact, hitting_harmonic, hitting_mc, kesten_check, stationary_offset
+from .walk import hitting_exact, hitting_harmonic, hitting_mc, kesten_check
 
 __version__ = "0.1.0"
 
@@ -47,7 +48,6 @@ __all__ = [
     "TrialOutcome",
     "UsageError",
     "build_stationary",
-    "canonical_classes",
     "combined_survival_bound",
     "dominating_walk_survival",
     "duality_check",

@@ -1,5 +1,5 @@
 """Closed-form analytics: the mean-field ODE, gambler's-ruin dominations,
-and the second-moment survival bounds.
+the second-moment survival bounds and the stationary offset they share.
 
 Everything here is exact arithmetic on user-supplied parameters.  The
 hitting probability `hitting` is always an input (take it from
@@ -28,10 +28,6 @@ class OdeSolution:
     times: np.ndarray
     values: np.ndarray
     fixed_point: float
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
 
 
 def _mean_field_rhs(lam: float, f: float) -> float:
@@ -161,6 +157,19 @@ def second_moment_survival_bound(
     if numerator <= 0.0:
         return SetSurvivalBound(0.0, True)
     return SetSurvivalBound(min(1.0, numerator / denominator), False)
+
+
+def stationary_offset(lam: float, hitting: float) -> float:
+    """Constant offset b = (lam - 1 - 2*lam*H) / (lam + 1).
+
+    Added to the hitting function it yields the stationary vector of the
+    pair-correlation generator; the pair-correlation machinery is only
+    informative when this is positive, i.e. when H < (lam-1)/(2*lam), the
+    same sign condition as the numerator of second_moment_survival_bound.
+    """
+    if not (lam > 0):
+        raise UsageError(f"infection rate must be positive, got {lam}")
+    return (lam - 1.0 - 2.0 * lam * hitting) / (lam + 1.0)
 
 
 def combined_survival_bound(

@@ -138,24 +138,17 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated reals, got {text!r}")
-    if not values:
-        raise UsageError(f"empty list: {text!r}")
-    return values
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(tok) for tok in str(text).split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise UsageError(f"empty list: {text!r}")
-    return values
+def _comma_list(kind):
+    """The flag type and config converter of a comma-separated list of
+    `kind` values.  Its ValueError never reaches the user: argparse and
+    _convert each word their own message, naming the flag or key."""
+    def parse(text: str) -> list:
+        values = [kind(tok) for tok in str(text).split(",") if tok.strip()]
+        if not values:
+            raise ValueError(f"empty list: {text!r}")
+        return values
+    parse.__name__ = f"_{kind.__name__}_list"   # argparse: "invalid _int_list value"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +243,6 @@ def cmd_survival(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ode(args) -> int:
-    header = "df/dt = -f + lam*f*(1-f), f(0) = 1; fixed point max(0, (lam-1)/lam)"
-    print(f"# {header}")
     sol = analytics.solve_mean_field_ode(args.lam, args.t_end, args.dt)
     exact = analytics.mean_field_closed_form(args.lam, sol.times)
     rows = [
@@ -259,6 +250,8 @@ def cmd_ode(args) -> int:
          "abs_err": abs(float(v) - float(e))}
         for t, v, e in zip(sol.times[::100], sol.values[::100], exact[::100])
     ]
+    header = "df/dt = -f + lam*f*(1-f), f(0) = 1; fixed point max(0, (lam-1)/lam)"
+    print(f"# {header}")
     _emit(rows, ["t", "rk4", "closed_form", "abs_err"], args, header)
     sup = max(abs(float(v) - float(e)) for v, e in zip(sol.values, exact))
     print(f"sup |rk4 - closed| = {sup:.3e}; fixed point = {sol.fixed_point:.17g}")
@@ -268,11 +261,6 @@ def cmd_ode(args) -> int:
 def cmd_bound(args) -> int:
     lam, d, size = args.lam, args.d, args.set_size
     level = args.level if args.level is not None else size
-    header = (
-        "floor(n) = n^2*(lam-1-2*lam*H) / ((n^2-n)*(lam-1)*(1-H) + 2*n*lam*(1-H));"
-        " reach(K) = (1 - 1/mu) / (1 - mu^-K), mu = lam*(1 - K/(2d))"
-    )
-    print(f"# {header}")
     hitting = args.hitting if args.hitting is not None else walk.hitting_exact(d)
     floor = analytics.second_moment_survival_bound(lam, hitting, size)
     reach = analytics.reach_probability(lam, d, level)
@@ -282,6 +270,11 @@ def cmd_bound(args) -> int:
         "floor": floor.value, "vacuous": floor.vacuous, "level": level,
         "reach": reach, "combined_lower": bounds.lower, "upper": bounds.upper,
     }]
+    header = (
+        "floor(n) = n^2*(lam-1-2*lam*H) / ((n^2-n)*(lam-1)*(1-H) + 2*n*lam*(1-H));"
+        " reach(K) = (1 - 1/mu) / (1 - mu^-K), mu = lam*(1 - K/(2d))"
+    )
+    print(f"# {header}")
     _emit(rows, list(rows[0].keys()), args, header)
     return 0
 
@@ -289,38 +282,33 @@ def cmd_bound(args) -> int:
 def cmd_hitting(args) -> int:
     d, method = args.d, args.method
     seed = _resolve_seed(args)
+    rows, problems = [], []
+    if args.kesten is not None:
+        table, problems = walk.kesten_check(args.kesten, n_walks=args.walks,
+                                            max_steps=args.max_steps, seed=seed)
+        columns = ["d", "H", "two_d_H", "std_err"]
+        rows = [dict(zip(columns, row)) for row in table]
+    else:
+        columns = ["d", "method", "H", "std_err", "bracket_low", "bracket_high"]
+        if method in ("monte-carlo", "both"):
+            est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=seed)
+            rows.append({
+                "d": d, "method": est.method, "H": est.h,
+                "std_err": est.std_err if est.std_err is not None else float("nan"),
+                "bracket_low": float("nan"), "bracket_high": float("nan"),
+            })
+        if method in ("harmonic-solve", "both"):
+            est = walk.hitting_harmonic(d, args.radius)
+            rows.append({
+                "d": d, "method": est.method, "H": est.h, "std_err": float("nan"),
+                "bracket_low": est.bracket[0], "bracket_high": est.bracket[1],
+            })
     header = "H = P(walk from e1 ever hits O); 2*d*H -> 1 in high dimension"
     print(f"# {header}")
-    rows = []
-    if args.kesten is not None:
-        try:
-            table, violation = walk.kesten_check(args.kesten, n_walks=args.walks,
-                                                 max_steps=args.max_steps, seed=seed), None
-        except InvariantViolation as exc:
-            table, violation = exc.rows, exc
-        rows = [
-            {"d": dd, "H": h, "two_d_H": s, "std_err": se}
-            for dd, h, s, se in table
-        ]
-        _emit(rows, ["d", "H", "two_d_H", "std_err"], args, header)
-        if violation is not None:
-            print(f"kesten-window violation: {violation}", file=sys.stderr)
-            return 1
-        return 0
-    if method in ("monte-carlo", "both"):
-        est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=seed)
-        rows.append({
-            "d": d, "method": est.method, "H": est.h,
-            "std_err": est.std_err if est.std_err is not None else float("nan"),
-            "bracket_low": float("nan"), "bracket_high": float("nan"),
-        })
-    if method in ("harmonic-solve", "both"):
-        est = walk.hitting_harmonic(d, args.radius)
-        rows.append({
-            "d": d, "method": est.method, "H": est.h, "std_err": float("nan"),
-            "bracket_low": est.bracket[0], "bracket_high": est.bracket[1],
-        })
-    _emit(rows, ["d", "method", "H", "std_err", "bracket_low", "bracket_high"], args, header)
+    _emit(rows, columns, args, header)
+    if problems:
+        print(f"kesten-window violation: {'; '.join(problems)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -332,9 +320,9 @@ def cmd_duality(args) -> int:
         raise UsageError(f"time must be >= 0 and finite, got {t}")
     if trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {trials}")
+    params = contact.ContactParams(lam, d, Torus(d, side))
     header = "P(eta_t^O nonempty) = P(eta_t^full(O) = 1) on a torus (self-duality)"
     print(f"# {header}")
-    params = contact.ContactParams(lam, d, Torus(d, side))
     tasks = [(contact.tally_duality, params, t, block, seed)
              for block in _blocks(trials, args.jobs)]
     (tallies,) = _run_tasks([tasks], args.jobs)
@@ -364,9 +352,9 @@ def cmd_bcpp_check(args) -> int:
     if trials < 1:
         raise UsageError(f"n_trials must be >= 1, got {trials}")
     checkpoints = bcpp.checkpoint_times(args.times)
+    torus = Torus(args.d, args.torus_side)
     header = "E[value(O)] = 1 for all t; strictly-positive support = infected set"
     print(f"# {header}")
-    torus = Torus(args.d, args.torus_side)
     # one pool for both checks, the longer first-moment blocks first
     moment_blocks, coupled = _run_tasks([
         [(bcpp.first_moment_values, lam, torus, checkpoints, block, seed)
@@ -395,12 +383,12 @@ def cmd_moments(args) -> int:
         raise UsageError(f"--t must be finite and >= 0, got {args.t}")
     if not 1 <= args.set_size < radius:
         raise UsageError(f"--set-size must be in [1, --radius), got {args.set_size}")
+    gen = moments.CorrelationGenerator(lam, d, radius)
     header = (
         "dF/dt = A F with A(h+b) = 0 on interior rows;"
         " floor(n) = n^2*b / ((n^2-n)*(H+b) + n*(1+b))"
     )
     print(f"# {header}")
-    gen = moments.CorrelationGenerator(lam, d, radius)
     sv = moments.build_stationary(gen)
     report = moments.verify_stationary(gen, sv)
     print(
@@ -464,8 +452,8 @@ _H_IGNORED = "ignored: H(d) is exact; kept so existing command lines and configs
 # keys, the campaign's sections and the dispatch
 _COMMANDS = {
     "survival": (cmd_survival, "survival-probability campaign over a (lambda, d) grid", [
-        ("--lambda", _float_list, (2.0,), "comma-separated infection rates"),
-        ("--d", _int_list, (4, 6, 8), "comma-separated dimensions"),
+        ("--lambda", _comma_list(float), (2.0,), "comma-separated infection rates"),
+        ("--d", _comma_list(int), (4, 6, 8), "comma-separated dimensions"),
         ("--trials", int, 2000, "trials per cell"),
         ("--horizon", float, 200.0, "censoring time"),
         ("--threshold", int, 500, "infected count treated as survival"),
@@ -491,7 +479,7 @@ _COMMANDS = {
         ("--walks", int, 1_000_000, "Monte Carlo walks"),
         ("--max-steps", int, 10_000, "step budget of each walk"),
         ("--radius", int, 20, "box radius of the harmonic solve"),
-        ("--kesten", _int_list, None, "comma-separated dimensions for the 2dH sweep"),
+        ("--kesten", _comma_list(int), None, "comma-separated dimensions for the 2dH sweep"),
     ]),
     "duality": (cmd_duality, "single-site vs all-infected agreement on a torus", [
         ("--lambda", float, 1.5, "infection rate"),
@@ -506,7 +494,7 @@ _COMMANDS = {
         ("--torus-side", int, 6, "torus side length"),
         ("--horizon", float, 5.0, "length of each coupled run"),
         ("--trials", int, 100, "coupled runs"),
-        ("--times", _float_list, (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
+        ("--times", _comma_list(float), (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
     ]),
     "moments": (cmd_moments, "correlation evolution, stationary vector, pair bounds", [
         ("--lambda", float, 2.0, "infection rate"),

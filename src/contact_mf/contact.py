@@ -89,8 +89,9 @@ class SampleSet:
     """Set of vertices with O(1) add/discard/membership and uniform choice.
 
     The classic list-plus-index-map structure: deletion swaps the victim
-    with the last list element so the list stays dense and `choose` is a
-    single randrange.
+    with the last list element so the list stays dense and a uniform pick
+    is items[randrange(len)].  run_trial advances one in place, with add
+    and discard inlined on its int codes.
     """
 
     __slots__ = ("items", "_pos")
@@ -123,12 +124,6 @@ class SampleSet:
         if last != v:
             self.items[i] = last
             self._pos[last] = i
-
-    def choose(self, rng) -> Vertex:
-        return self.items[rng.randrange(len(self.items))]
-
-    def as_set(self) -> set[Vertex]:
-        return set(self.items)
 
 
 @dataclass(frozen=True)
@@ -340,8 +335,14 @@ def tally_duality(params: ContactParams, t: float, trials: range, seed: int) -> 
     Returns (survived, covered): how many single-site starts live at time t
     and how many all-infected starts then cover the origin.  As in
     tally_survival, block tallies sum to the tally of the blocks' union.
+    Requires finite geometry (on the infinite lattice the all-infected
+    start is not simulable) and a finite t >= 0.
     """
     torus = params.geometry
+    if torus is None:
+        raise UsageError("the duality check needs a Torus geometry")
+    if not 0 <= t < math.inf:
+        raise UsageError(f"time must be >= 0 and finite, got {t}")
     o = origin(params.d)
     full = [torus.vertex(i) for i in range(torus.volume)]
     survived = covered = 0
@@ -379,13 +380,9 @@ def duality_check(
     """Compare P(eta_t^{O} nonempty) with P(eta_t^{full}(O) = 1) on a torus.
 
     The two are equal in law, so the pooled two-proportion z-score should
-    look standard normal.  Requires finite geometry: on the infinite
-    lattice the all-infected start is not simulable.
+    look standard normal.  tally_duality refuses a torus-less params or a
+    t outside [0, inf).
     """
-    if params.geometry is None:
-        raise UsageError("duality_check needs a Torus geometry")
-    if not 0 <= t < math.inf:
-        raise UsageError(f"time must be >= 0 and finite, got {t}")
     counts = tally_duality(params, t, range(n_trials), seed)
     return summarize_duality(*counts, n_trials)
 

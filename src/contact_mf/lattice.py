@@ -44,9 +44,6 @@ class Torus:
     def volume(self) -> int:
         return self.side**self.dimension
 
-    def wrap(self, v: Vertex) -> Vertex:
-        return tuple(c % self.side for c in v)
-
     def index(self, v: Vertex) -> int:
         """Flat row-major index of a (wrapped) vertex."""
         idx = 0
@@ -61,14 +58,6 @@ class Torus:
             idx //= self.side
         return tuple(reversed(coords))
 
-    def neighbor_index_table(self) -> np.ndarray:
-        """(volume, 2d) array: row i lists the flat indices of vertex i's
-        neighbors (+axis then -axis per dimension). Used by flat-array
-        simulations (bcpp) to avoid tuple arithmetic in hot loops."""
-        d = self.dimension
-        steps = [tuple(s * (a == ax) for a in range(d)) for ax in range(d) for s in (1, -1)]
-        return np.stack([self.translation(u) for u in steps], axis=1)
-
     def translation(self, u: Vertex) -> np.ndarray:
         """(volume,) array: entry i is the flat index of vertex i + u."""
         if len(u) != self.dimension:
@@ -79,8 +68,12 @@ class Torus:
 
 @functools.lru_cache(maxsize=8)
 def flat_neighbors(torus: Torus) -> tuple[int, ...]:
-    """Entry x*2d + k is neighbor k of flat vertex x; cached, shared, read-only."""
-    return tuple(torus.neighbor_index_table().ravel().tolist())
+    """Entry x*2d + k is neighbor k of flat vertex x, +axis then -axis per
+    axis: the flat-index table that spares the kernels tuple arithmetic.
+    Cached, shared, read-only."""
+    d = torus.dimension
+    steps = [tuple(s * (a == ax) for a in range(d)) for ax in range(d) for s in (1, -1)]
+    return tuple(np.stack([torus.translation(u) for u in steps], axis=1).ravel().tolist())
 
 
 def origin(d: int) -> Vertex:
@@ -98,23 +91,10 @@ def check_dimension(v: Vertex, d: int) -> None:
         raise UsageError(f"vertex {v} has dimension {len(v)}, expected {d}")
 
 
-def neighbors(v: Vertex, geometry: Torus | None = None) -> list[Vertex]:
-    """The 2d lattice neighbors of v, +axis then -axis per axis (wrapped on a torus)."""
-    if geometry is not None:
-        check_dimension(v, geometry.dimension)
-    out = [v[:i] + (c + s,) + v[i + 1 :] for i, c in enumerate(v) for s in (1, -1)]
-    return out if geometry is None else [geometry.wrap(u) for u in out]
-
-
 def canonicalize(v: Vertex) -> Vertex:
     """Orbit representative under coordinate permutations and sign flips:
     absolute values sorted nonincreasing."""
     return tuple(sorted((abs(c) for c in v), reverse=True))
-
-
-def canonical_classes(d: int, max_coord: int) -> list[Vertex]:
-    """All canonical classes with sup-norm <= max_coord, in sorted order."""
-    return list(class_neighbor_table(d, max_coord)[0])
 
 
 @functools.lru_cache(maxsize=16)

@@ -20,7 +20,8 @@ So L/b dominates F_t for all time whenever b > 0, turning the evolved
 correlations into rigorous survival lower bounds for finite seed sets.
 A caller builds the generator and L once and hands both to the checks;
 build_stationary takes h from walk.absorbing_solve, on the generator's
-classes in the generator's order (both read one cached class table).
+classes in the generator's order (both read one cached class table), and
+b and the closed-form floor from analytics.
 A is self-adjoint once classes are weighted by their orbit sizes, so h
 comes from conjugate gradients and F_t from a Chebyshev expansion.
 """
@@ -32,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import second_moment_survival_bound
+from .analytics import second_moment_survival_bound, stationary_offset
 from .errors import InvariantViolation, NumericalError, UsageError
 from .lattice import canonicalize, class_neighbor_table, origin, unit_vector
-from .walk import absorbing_solve, stationary_offset
+from .walk import absorbing_solve
 
 __all__ = [
     "CorrelationGenerator",
@@ -61,7 +62,7 @@ class CorrelationGenerator:
     """Matrix-free action of the pair-correlation generator on class vectors.
 
     Vectors are indexed by canonical classes with sup-norm <= radius-1
-    (the order of lattice.canonical_classes); classes at sup-norm >=
+    (the order of lattice.class_neighbor_table); classes at sup-norm >=
     radius are absorbed to zero.
     """
 
@@ -203,10 +204,9 @@ def stationary_residual(gen: CorrelationGenerator, sv: StationaryVector) -> Stat
     )
 
 
-def verify_stationary(
-    gen: CorrelationGenerator, sv: StationaryVector | None = None
-) -> StationaryReport:
-    """Check A L = 0 where it must hold; raise InvariantViolation if not.
+def verify_stationary(gen: CorrelationGenerator, sv: StationaryVector) -> StationaryReport:
+    """Check A L = 0 where it must hold, with sv = build_stationary(gen);
+    raise InvariantViolation if not.
 
     Interior rows inherit the Dirichlet solver's equation residual scaled
     by 2*lam; the origin row cancels in exact arithmetic, so anything
@@ -214,8 +214,6 @@ def verify_stationary(
     is wrong.  Boundary rows are reported but not gated (their leakage
     is a truncation fact, not a bug).
     """
-    if sv is None:
-        sv = build_stationary(gen)
     report = stationary_residual(gen, sv)
     if report.sup_interior > STATIONARY_TOL_INTERIOR:
         raise InvariantViolation(

@@ -28,7 +28,9 @@ Everything downstream that needs a return probability (offset of the
 stationary correlation vector, pair bounds, survival floors) pulls it
 from here: the survival floors from ``hitting_exact``, the correlation
 machinery from the absorbing solve, so that truncation conventions stay
-consistent.  The Monte Carlo route is the independent check.
+consistent.  The Monte Carlo route is the independent check, and
+``kesten_check`` tabulates it across dimensions as (rows, problems).  The
+closed forms that take H as an input live in ``analytics``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .lattice import class_neighbor_table, class_orbit_sizes, origin, unit_vector
 from .rng import np_substream
 
@@ -50,7 +52,6 @@ __all__ = [
     "hitting_harmonic",
     "absorbing_solve",
     "kesten_check",
-    "stationary_offset",
 ]
 
 
@@ -235,7 +236,7 @@ SOLVE_MAX_ITERATIONS = 10_000  # raise NumericalError if still above after this 
 def absorbing_solve(d: int, radius: int, /):
     """Solve h = average of neighbors, h(O)=1, h=0 at sup-norm >= radius.
 
-    Returns (classes, h) with h indexed like canonical_classes(d, radius-1).
+    Returns (classes, h) with h indexed like class_neighbor_table(d, radius-1)[0].
     Treat both as read-only: results are cached and shared, one entry per
     (d, radius) (the arguments are positional-only, so no two spellings of
     the same solve can miss each other's entry).
@@ -323,13 +324,13 @@ def kesten_check(
     n_walks: int = 1_000_000,
     max_steps: int = 10_000,
     seed: int = 0,
-) -> list[tuple[int, float, float, float]]:
+) -> tuple[list[tuple[int, float, float, float]], list[str]]:
     """Tabulate (d, h, 2*d*h, std_err) across dimensions and sanity-check.
 
-    Asserts that 2*d*h lies in (0.85, 1.15) for every d >= 8 in the sweep
-    and that h decreases with d (beyond joint 3-sigma noise).  Violations
-    raise InvariantViolation listing the offending rows; the table is
-    attached to the exception as .rows so callers can still report it.
+    Returns (rows, problems).  A problem is a sentence naming a row where
+    2*d*h leaves (0.85, 1.15) at d >= 8, or where h fails to decrease
+    with d beyond joint 3-sigma noise; an empty list means the table
+    passed.
     """
     if not dims:
         raise UsageError("empty dimension list")
@@ -347,20 +348,5 @@ def kesten_check(
             problems.append(
                 f"h not decreasing: h({d1})={h1:.5f} > h({d0})={h0:.5f} + 3-sigma"
             )
-    if problems:
-        err = InvariantViolation("; ".join(problems))
-        err.rows = rows
-        raise err
-    return rows
+    return rows, problems
 
-
-def stationary_offset(lam: float, hitting: float) -> float:
-    """Constant offset b = (lam - 1 - 2*lam*H) / (lam + 1).
-
-    Added to the hitting function it yields the stationary vector of the
-    pair-correlation generator; the pair-correlation machinery is only
-    informative when this is positive, i.e. when H < (lam-1)/(2*lam).
-    """
-    if not (lam > 0):
-        raise UsageError(f"infection rate must be positive, got {lam}")
-    return (lam - 1.0 - 2.0 * lam * hitting) / (lam + 1.0)

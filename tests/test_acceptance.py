@@ -121,10 +121,7 @@ def test_criterion_04_hitting_probability(criterion_report):
     harm = walk.hitting_harmonic(3, 20)
     lo, hi = harm.bracket
     bracket_ok = lo <= D3_RETURN <= hi
-    try:
-        rows = walk.kesten_check([8, 10], n_walks=600_000, max_steps=2_000, seed=2)
-    except InvariantViolation as exc:
-        rows = exc.rows
+    rows, _problems = walk.kesten_check([8, 10], n_walks=600_000, max_steps=2_000, seed=2)
     window_bad = [
         f"2dH(d={d})={s:.4f}" for d, _h, s, _se in rows if not (0.85 < s < 1.15)
     ]
@@ -190,7 +187,7 @@ def test_criterion_07_stationary_vector(criterion_report):
     for lam, d in itertools.product((2.0, 3.0), (3, 4)):
         gen = moments.CorrelationGenerator(lam, d, 10)
         try:
-            report = moments.verify_stationary(gen)
+            report = moments.verify_stationary(gen, moments.build_stationary(gen))
         except InvariantViolation as exc:
             failures.append(f"(lam={lam}, d={d}): {exc}")
             continue

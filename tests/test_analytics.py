@@ -15,6 +15,7 @@ from contact_mf.analytics import (
     reach_probability,
     second_moment_survival_bound,
     solve_mean_field_ode,
+    stationary_offset,
     survival_sandwich,
     threshold_error_bound,
 )
@@ -26,21 +27,21 @@ from contact_mf.walk import hitting_exact
 
 def test_ode_lam1_is_hyperbolic_decay():
     sol = solve_mean_field_ode(1.0, 5.0, 1e-3)
-    assert abs(sol.final - 1.0 / 6.0) < 1e-10
+    assert abs(sol.values[-1] - 1.0 / 6.0) < 1e-10
     assert np.allclose(sol.values, 1.0 / (1.0 + sol.times), atol=1e-10)
 
 
 def test_ode_supercritical_settles_at_fixed_point():
     sol = solve_mean_field_ode(2.0, 30.0, 1e-3)
     assert sol.fixed_point == 0.5
-    assert abs(sol.final - 0.5) < 1e-12
+    assert abs(sol.values[-1] - 0.5) < 1e-12
 
 
 def test_ode_subcritical_decays_monotonically_to_zero():
     sol = solve_mean_field_ode(0.5, 25.0, 1e-3)
     assert sol.fixed_point == 0.0
     assert np.all(np.diff(sol.values) < 0)
-    assert sol.final < 1e-5
+    assert sol.values[-1] < 1e-5
 
 
 def test_ode_matches_closed_form():
@@ -149,6 +150,15 @@ def test_set_bound_domain():
         second_moment_survival_bound(0.9, 0.1, 3)
     with pytest.raises(UsageError):
         second_moment_survival_bound(2.0, 0.1, 0)
+
+
+def test_stationary_offset_arithmetic():
+    assert stationary_offset(2.0, 0.0) == pytest.approx(1.0 / 3.0)
+    assert stationary_offset(2.0, 0.2) > 0 > stationary_offset(2.0, 0.3)
+    # sign flip exactly at hitting = (lam-1)/(2 lam)
+    assert stationary_offset(2.0, 0.25) == pytest.approx(0.0)
+    with pytest.raises(UsageError):
+        stationary_offset(0.0, 0.1)
 
 
 # -------------------------------------------------------- combined bound

@@ -9,7 +9,7 @@ import pytest
 from contact_mf import bcpp
 from contact_mf.bcpp import BcppField, first_moment_check, pair_moment_mc, run_coupled
 from contact_mf.errors import InvariantViolation, UsageError
-from contact_mf.lattice import Torus, origin
+from contact_mf.lattice import Torus, flat_neighbors, origin
 from contact_mf.rng import substream
 
 T26 = Torus(2, 6)
@@ -54,7 +54,7 @@ def _one_event(field, rng):
 def test_single_absorb_event_adds_values():
     f = BcppField(T26, 2.0)
     [(x, y)] = _one_event(f, _ScriptedRng(0, zero=False))   # at t=0, both values exactly 1
-    assert (x, y) == (0, T26.neighbor_index_table()[0][0])
+    assert (x, y) == (0, flat_neighbors(T26)[0])
     assert f.value_at(x) == 2.0
     assert f.value_at(y) == 1.0
 

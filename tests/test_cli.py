@@ -60,7 +60,8 @@ def test_missing_subcommand_exits_2():
     ["moments", "--d", "four"],
     ["duality", "--lambda", "x"],
     ["survival", "--d", "4,six"],
-], ids=["ode-lambda", "bound-d", "moments-d", "duality-lambda", "survival-d"])
+    ["survival", "--lambda", ","],
+], ids=["ode-lambda", "bound-d", "moments-d", "duality-lambda", "survival-d", "survival-empty"])
 def test_bad_scalar_flag_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -113,16 +114,16 @@ def test_ode_example_final_value_as_stated():
     # truly is 1/(2*(2*e^10 - 1)) ~ 1.13e-5, so this fails by an order of
     # magnitude and stays red on purpose; see the companion test below.
     sol = analytics.solve_mean_field_ode(2.0, 10.0, 1e-3)
-    assert abs(sol.final - 0.5) < 1e-6
+    assert abs(sol.values[-1] - 0.5) < 1e-6
 
 
 def test_ode_final_gap_follows_decay_law():
     sol = analytics.solve_mean_field_ode(2.0, 10.0, 1e-3)
-    gap = abs(sol.final - 0.5)
+    gap = abs(sol.values[-1] - 0.5)
     assert gap == pytest.approx(1.0 / (2.0 * (2.0 * math.e**10 - 1.0)), rel=1e-6)
     # the 1e-6 window opens a few time units later
     later = analytics.solve_mean_field_ode(2.0, 13.0, 1e-3)
-    assert abs(later.final - 0.5) < 1e-6
+    assert abs(later.values[-1] - 0.5) < 1e-6
 
 
 def test_bound_example_quarter_floor(capsys):
@@ -497,7 +498,9 @@ def test_unknown_config_format_exits_2(tmp_path):
     "[moments]\nd = four\n",
     "[bound]\nd = 2.5\nhitting = 0.1\n",
     "[bcpp-check]\ntimes = 0.5,soon\n",
-], ids=["duality-lambda", "hitting-method", "moments-d", "bound-d", "bcpp-times"])
+    "[hitting]\nkesten = ,\n",
+], ids=["duality-lambda", "hitting-method", "moments-d", "bound-d", "bcpp-times",
+        "hitting-kesten-empty"])
 def test_bad_config_value_exits_2(section, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(section)
@@ -620,6 +623,26 @@ def test_infinite_time_exits_2_before_any_task(argv, message, monkeypatch, capsy
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
     assert main(argv + ["--jobs", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--t-end", "inf"],
+    ["ode", "--dt", "0"],
+    ["bound", "--level", "0"],
+    ["bound", "--lambda", "1"],
+    ["hitting", "--d", "0", "--method", "monte-carlo", "--walks", "10"],
+    ["hitting", "--method", "harmonic-solve", "--radius", "1"],
+    ["duality", "--lambda", "-1"],
+    ["duality", "--torus-side", "3"],
+    ["bcpp-check", "--torus-side", "3"],
+    ["bcpp-check", "--d", "0"],
+    ["moments", "--lambda", "0"],
+    ["moments", "--d", "0"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_refusal_prints_no_formula_header(argv, capsys):
+    # a refused command prints nothing on stdout, not even its "# formula" line
+    assert main(argv + ["--jobs", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_survival_accepts_an_infinite_horizon():

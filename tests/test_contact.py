@@ -24,10 +24,11 @@ from contact_mf.contact import (
     run_to_time,
     run_trial,
     summarize_survival,
+    tally_duality,
     tally_survival,
 )
 from contact_mf.errors import NumericalError, UsageError
-from contact_mf.lattice import Torus, neighbors, origin
+from contact_mf.lattice import Torus, origin
 from contact_mf.rng import substream
 
 O3 = origin(3)
@@ -43,7 +44,7 @@ def test_sample_set_basic_ops():
     s.discard((0, 0))
     assert (0, 0) not in s and len(s) == 1
     s.discard((9, 9))      # absent discard is a no-op
-    assert s.as_set() == {(1, 0)}
+    assert set(s) == {(1, 0)}
 
 
 def test_sample_set_choose_is_uniform():
@@ -52,7 +53,7 @@ def test_sample_set_choose_is_uniform():
     n = 8000
     counts = [0] * 8
     for _ in range(n):
-        counts[s.choose(rng)[0]] += 1
+        counts[s.items[rng.randrange(len(s))][0]] += 1
     bound = 3 * math.sqrt((1 / 8) * (7 / 8) / n)
     for c in counts:
         assert abs(c / n - 1 / 8) < bound
@@ -108,7 +109,9 @@ def test_first_infection_picks_a_uniform_neighbor():
         y = state.items[1]
         counts[y] = counts.get(y, 0) + 1
         n += 1
-    assert set(counts) == set(neighbors(O3))
+    # the 2d tuple neighbours of the origin
+    steps = {O3[:a] + (c + s,) + O3[a + 1:] for a, c in enumerate(O3) for s in (1, -1)}
+    assert set(counts) == steps
     p = 1 / 6
     bound = 3 * math.sqrt(p * (1 - p) / n)
     for c in counts.values():
@@ -287,6 +290,14 @@ def test_duality_needs_torus_and_nonnegative_time():
         duality_check(ContactParams(3.0, 2, Torus(2, 6)), math.inf, 1, seed=0)
 
 
+def test_duality_tally_refuses_a_missing_torus_and_an_infinite_time():
+    # refused before any trial, however few: no AttributeError, no endless run
+    with pytest.raises(UsageError, match="Torus"):
+        tally_duality(ContactParams(1.5, 2), 1.0, range(1), 0)
+    with pytest.raises(UsageError, match="finite"):
+        tally_duality(ContactParams(1.5, 2, Torus(2, 6)), math.inf, range(1), 0)
+
+
 # ------------------------------------------------------------- coupling
 
 def coupled_thinning_trial(
@@ -324,11 +335,11 @@ def coupled_thinning_trial(
             break
         t += dt
         if rng.random() * rate_per_site < 1.0:
-            x = hi.choose(rng)
+            x = hi.items[rng.randrange(len(hi))]
             hi.discard(x)
             lo.discard(x)
         else:
-            x = hi.choose(rng)
+            x = hi.items[rng.randrange(len(hi))]
             k = rng.randrange(2 * d)
             axis = k >> 1
             delta = 1 - 2 * (k & 1)
@@ -365,7 +376,7 @@ def test_thinning_rejects_bad_rate_order():
 def test_run_to_time_zero_duration_is_identity():
     s = SampleSet([O3])
     run_to_time(s, ContactParams(2.0, 3), 0.0, random.Random(0))
-    assert s.as_set() == {O3}
+    assert set(s) == {O3}
     with pytest.raises(UsageError):
         run_to_time(s, ContactParams(2.0, 3), -1.0, random.Random(0))
 

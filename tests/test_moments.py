@@ -121,7 +121,7 @@ def test_correlations_grow_at_origin_for_supercritical_rate():
 @pytest.mark.parametrize("d", [3, 4])
 def test_stationary_vector_annihilates_generator(lam, d):
     gen = CorrelationGenerator(lam, d, radius=8)
-    report = verify_stationary(gen)
+    report = verify_stationary(gen, build_stationary(gen))
     assert report.sup_interior < 1e-8
     assert report.origin_row < 1e-12
 
