@@ -12,11 +12,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvariantViolation, UsageError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +42,8 @@ def solve_mean_field_ode(lam: float, t_end: float, dt: float) -> OdeSolution:
     approximation; its fixed point max(0, (lam-1)/lam) is the survival
     probability the d->infinity limit produces.
     """
+    import numpy as np
+
     if not (lam > 0):
         raise UsageError(f"lambda must be positive, got {lam}")
     if not (0 < t_end < math.inf and dt > 0):
@@ -72,6 +75,8 @@ def mean_field_closed_form(lam: float, times) -> np.ndarray:
     For lam != 1: f_t = (lam-1)e^((lam-1)t) / (lam*e^((lam-1)t) - 1);
     for lam == 1: f_t = 1/(1+t).  Derivation: u = 1/f linearizes the ODE.
     """
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     if lam == 1.0:
         return 1.0 / (1.0 + t)

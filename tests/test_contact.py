@@ -36,8 +36,22 @@ O3 = origin(3)
 
 # ------------------------------------------------------------ SampleSet
 
+class DiscardSet(SampleSet):
+    """A SampleSet that can also remove a vertex, the deletion run_trial
+    inlines on its int codes: the last item fills the gap."""
+
+    def discard(self, v):
+        i = self._pos.pop(v, None)
+        if i is None:
+            return
+        last = self.items.pop()
+        if last != v:
+            self.items[i] = last
+            self._pos[last] = i
+
+
 def test_sample_set_basic_ops():
-    s = SampleSet([(0, 0), (1, 0)])
+    s = DiscardSet([(0, 0), (1, 0)])
     assert len(s) == 2 and (0, 0) in s
     s.add((0, 0))          # duplicate add is a no-op
     assert len(s) == 2
@@ -323,8 +337,8 @@ def coupled_thinning_trial(
         raise UsageError("need 0 < lam_lo <= lam_hi")
     params_hi = ContactParams(lam_hi, d, geometry)
     o = origin(d)
-    lo = SampleSet((o,))
-    hi = SampleSet((o,))
+    lo = DiscardSet((o,))
+    hi = DiscardSet((o,))
     rate_per_site = 1.0 + lam_hi
     accept = lam_lo / lam_hi
     t = 0.0
@@ -386,10 +400,10 @@ def test_run_to_time_zero_duration_is_identity():
 def reference_trial(initial, params, horizon, threshold, rng) -> TrialOutcome:
     """run_trial as it was on tuple vertices: the same draws in the same
     order, each infection building a neighbor tuple and every set operation
-    going through SampleSet.  The oracle for the int-coded kernel."""
+    going through DiscardSet.  The oracle for the int-coded kernel."""
     if not (horizon > 0) or threshold < 1:
         raise UsageError("horizon must be positive and threshold >= 1")
-    state = initial if isinstance(initial, SampleSet) else SampleSet(initial)
+    state = initial if isinstance(initial, DiscardSet) else DiscardSet(initial)
     rate_per_site = 1.0 + params.lam
     d2 = 2 * params.d
     d2_bits = d2.bit_length()
@@ -456,7 +470,7 @@ def _trial_cases(draw):
 @given(case=_trial_cases())
 def test_coded_kernel_matches_the_tuple_reference(case):
     params, start, horizon, threshold, seed = case
-    expected = SampleSet(start)
+    expected = DiscardSet(start)
     want = reference_trial(expected, params, horizon, threshold, random.Random(seed))
     state = SampleSet(start)
     assert run_trial(state, params, horizon, threshold, random.Random(seed)) == want
@@ -493,8 +507,8 @@ def test_start_at_the_code_limit_is_refused():
         run_trial(start, ContactParams(4.0, 3), 50.0, math.inf, random.Random(0))
 
 
-class _CountingSet(SampleSet):
-    """A SampleSet that counts the vertices added after it was built."""
+class _CountingSet(DiscardSet):
+    """A DiscardSet that counts the vertices added after it was built."""
 
     def __init__(self, iterable=()):
         self.additions = 0

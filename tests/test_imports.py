@@ -1,24 +1,31 @@
 """Every imported name is used: no module under src/ or tests/ imports a
-name that its code never mentions.  Package __init__ files are skipped,
-since they import in order to re-export.  A stdlib stand-in for a linter's
+name that its code never mentions.  A stdlib stand-in for a linter's
 unused-import rule.
 
 Every definition in src/ runs: each function, class and public method
 there is named by some code in src/ outside its own body, or is listed in
 KEPT with the reason it stays.  Code that only tests call belongs in the
-tests."""
+tests.
+
+Each command loads only what it runs: importing the package loads no
+submodule, and the torus commands (duality, bcpp-check) never load numpy.
+These run in a fresh interpreter, since this one has loaded everything."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import contact_mf
+
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(
-    path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")
-    if path.name != "__init__.py"
-)
+FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,7 +86,8 @@ def uncalled_definitions(sources: dict[str, str]) -> list[str]:
     method ('module.Class.name'), that no source names outside the
     definition's own body.  By name only: an attribute of the same name on
     any object counts as a use; a string in __all__ or an import does not.
-    __init__ is searched but defines nothing of its own."""
+    __init__ is searched, but its one definition, the module __getattr__
+    hook, is not checked."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     mentions = sum(map(_mentions, trees.values()), Counter())
     dead = []
@@ -110,3 +118,49 @@ def test_checker_flags_definitions_named_only_in_their_own_body():
 def test_every_definition_in_src_is_named_in_src():
     sources = {path.stem: path.read_text() for path in SRC}
     assert uncalled_definitions(sources) == sorted(KEPT)
+
+
+def _fresh(code: str):
+    """The JSON value that `code`, run in a new interpreter, prints last."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _fresh("import json, sys, contact_mf\n"
+                    "print(json.dumps([m for m in sys.modules if m.startswith('contact_mf.')]))")
+    assert loaded == []
+
+
+def test_every_exported_name_is_its_module_attribute():
+    # each name is resolved on first access, to its defining module's object
+    wrong = _fresh(
+        "import importlib, json, contact_mf\n"
+        "early = [n for n in contact_mf.__all__ if n in vars(contact_mf)]\n"
+        "home = lambda obj: importlib.import_module(obj.__module__)\n"
+        "late = [n for n in contact_mf.__all__\n"
+        "        if getattr(contact_mf, n) is not getattr(home(getattr(contact_mf, n)), n)]\n"
+        "print(json.dumps([early, late]))"
+    )
+    assert wrong == [[], []]
+    # the README's library example imports only exported names
+    readme = (ROOT / "README.md").read_text()
+    names = re.findall(r"\w+", re.search(r"from contact_mf import \((.*?)\)", readme, re.S)[1])
+    assert names and set(names) <= set(contact_mf.__all__)
+
+
+def test_torus_commands_never_load_numpy():
+    # ode is the control: the same check reads True once a command uses numpy
+    seen = _fresh(
+        "import json, sys\n"
+        "import contact_mf.cli as cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "for argv in (['duality', '--trials', '20'], ['bcpp-check', '--trials', '5'],\n"
+        "             ['ode', '--t-end', '1']):\n"
+        "    assert cli.main(argv + ['--jobs', '1', '--seed', '1']) == 0\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "print(json.dumps(seen))"
+    )
+    assert seen == [False, False, False, True]

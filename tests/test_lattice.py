@@ -153,7 +153,7 @@ def test_class_neighbor_table_is_cached_and_read_only():
         first[2][0, 0] = 0
 
 
-@pytest.mark.parametrize("d, side", [(2, 8), (3, 4), (1, 6)])
+@pytest.mark.parametrize("d, side", [(2, 8), (3, 4), (1, 6), (4, 4), (2, 10)])
 def test_neighbor_index_table_matches_loop_reference(d, side):
     t = Torus(d, side)
     ref = np.empty((t.volume, 2 * d), dtype=np.int64)

@@ -1,12 +1,12 @@
 """Property tests for SampleSet, the state the contact kernel and the tests'
-reference_trial mutate."""
+reference_trial mutate, with the deletion the kernel inlines."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from contact_mf.contact import SampleSet
+from test_contact import DiscardSet
 
 # (add?, vertex) operations on a small vertex pool, so discards often hit
 _OPS = st.lists(
@@ -19,7 +19,7 @@ _OPS = st.lists(
 @given(initial=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3))), ops=_OPS,
        seed=st.integers(0, 2**32 - 1))
 def test_sample_set_matches_reference_set(initial, ops, seed):
-    s = SampleSet(initial)
+    s = DiscardSet(initial)
     ref = set(initial)
     rng = random.Random(seed)
     for add, v in ops:
