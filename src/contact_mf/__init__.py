@@ -14,9 +14,10 @@ __version__ = "0.1.0"
 # submodule -> the names it exports here
 _EXPORTS = {
     "analytics": (
-        "combined_survival_bound", "dominating_walk_survival", "mean_field_closed_form",
-        "reach_probability", "second_moment_survival_bound", "solve_mean_field_ode",
-        "stationary_offset", "survival_sandwich", "threshold_error_bound",
+        "combined_survival_bound", "dominating_walk_survival", "hitting_exact",
+        "mean_field_closed_form", "reach_probability", "second_moment_survival_bound",
+        "solve_mean_field_ode", "stationary_offset", "survival_sandwich",
+        "threshold_error_bound",
     ),
     "bcpp": ("BcppField", "first_moment_check", "pair_moment_mc", "run_coupled"),
     "contact": (
@@ -30,7 +31,7 @@ _EXPORTS = {
         "second_moment_bound_check", "verify_stationary",
     ),
     "rng": ("np_substream", "stream_key", "substream"),
-    "walk": ("hitting_exact", "hitting_harmonic", "hitting_mc", "kesten_check"),
+    "walk": ("hitting_harmonic", "hitting_mc", "kesten_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

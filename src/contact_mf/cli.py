@@ -19,8 +19,8 @@ import json
 import os
 import sys
 
-# walk and moments load numpy, so the handlers that call them import them;
-# duality and bcpp-check run without it
+# walk and moments load numpy, so only hitting and moments import them;
+# survival, bound, duality and bcpp-check run without it
 from . import analytics, bcpp, contact
 from .errors import InvariantViolation, NumericalError, UsageError
 from .lattice import Torus
@@ -196,8 +196,6 @@ def _coupled_events(lam: float, torus: Torus, horizon: float, block: range, seed
 
 
 def cmd_survival(args) -> int:
-    from . import walk
-
     trials, horizon, threshold = args.trials, args.horizon, args.threshold
     # refused before any worker starts
     if trials < 1:
@@ -215,7 +213,7 @@ def cmd_survival(args) -> int:
             # 63-bit mask keeps the serialized per-cell seed a plain int64
             cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
             params = contact.ContactParams(lam, d)
-            hitting = walk.hitting_exact(d)
+            hitting = analytics.hitting_exact(d)
             bounds = analytics.survival_sandwich(lam, d, hitting, args.bound_k)
             cells.append((params, cell_seed, hitting, bounds))
     header = (
@@ -265,11 +263,9 @@ def cmd_ode(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    from . import walk
-
     lam, d, size = args.lam, args.d, args.set_size
     level = args.level if args.level is not None else size
-    hitting = args.hitting if args.hitting is not None else walk.hitting_exact(d)
+    hitting = args.hitting if args.hitting is not None else analytics.hitting_exact(d)
     floor = analytics.second_moment_survival_bound(lam, hitting, size)
     reach = analytics.reach_probability(lam, d, level)
     bounds = analytics.survival_sandwich(lam, d, hitting, level)

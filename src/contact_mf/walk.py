@@ -1,11 +1,8 @@
 """Origin-hitting probabilities for the simple random walk on Z^d.
 
-Three independent routes to the same number:
-
-* ``hitting_exact`` — the Watson–Montroll integral: the walk's expected
-  number of visits to the origin is G = ∫₀^∞ i0e(u/d)^d du (Montroll
-  1956; Finch, *Mathematical Constants* §5.9), and H = 1 − 1/G.  One
-  exp-sinh trapezoid rule in numpy, exact to a few ulps of G.
+The exact value is ``analytics.hitting_exact``, the Watson–Montroll
+integral in scalar math.  This module holds the two independent routes
+that check it:
 
 * ``hitting_mc`` — direct Monte Carlo over many walks started at a unit
   vector, with a distance-block trick that advances each walk by its full
@@ -24,13 +21,11 @@ Three independent routes to the same number:
   over-covers what remains).  Solves and the class tables under them run
   once per process, cached and read-only.
 
-Everything downstream that needs a return probability (offset of the
-stationary correlation vector, pair bounds, survival floors) pulls it
-from here: the survival floors from ``hitting_exact``, the correlation
-machinery from the absorbing solve, so that truncation conventions stay
-consistent.  The Monte Carlo route is the independent check, and
-``kesten_check`` tabulates it across dimensions as (rows, problems).  The
-closed forms that take H as an input live in ``analytics``.
+The correlation machinery (offset of the stationary correlation vector,
+pair bounds) takes its return probabilities from the absorbing solve, so
+that truncation conventions stay consistent; the survival floors take
+the exact value.  The Monte Carlo route is the independent check, and
+``kesten_check`` tabulates it across dimensions as (rows, problems).
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from .rng import np_substream
 
 __all__ = [
     "HittingEstimate",
-    "hitting_exact",
     "hitting_mc",
     "hitting_harmonic",
     "absorbing_solve",
@@ -69,55 +63,6 @@ class HittingEstimate:
     std_err: float | None = None
     bracket: tuple[float, float] | None = None
     n_walks: int | None = None
-
-
-# ---------------------------------------------------------------------------
-# Watson–Montroll integral
-# ---------------------------------------------------------------------------
-
-_I0E_SERIES_FROM = 700.0   # np.i0 overflows a little above 713
-
-
-def _i0e(x: np.ndarray) -> np.ndarray:
-    """exp(-x) I_0(x) for x >= 0: numpy's I_0 below _I0E_SERIES_FROM, the
-    asymptotic series 1/sqrt(2 pi x) * sum_k ((2k-1)!!)^2 / (k! (8x)^k)
-    above, where the first term left out is below 1e-17."""
-    small = np.minimum(x, _I0E_SERIES_FROM)
-    out = np.i0(small) * np.exp(-small)
-    big = x >= _I0E_SERIES_FROM
-    if big.any():
-        z = 1.0 / (8.0 * x[big])
-        term = total = 1.0
-        for k in range(1, 6):
-            term = term * (2 * k - 1) ** 2 * z / k
-            total = total + term
-        out[big] = total / np.sqrt(2.0 * np.pi * x[big])
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def hitting_exact(d: int) -> float:
-    """P(walk on Z^d from e1 ever visits the origin), from the integral.
-
-    H = 1 - 1/G with G = ∫₀^∞ i0e(u/d)^d du, the expected number of
-    visits to the origin, started there (the continuous-time walk's
-    occupation time, which the discrete walk shares).  By symmetry the
-    return probability equals the hitting probability from a neighbour.
-    The walk is recurrent for d <= 2, where H = 1.0.  G is accurate to a
-    few ulps, so H = (G - 1)/G, with G - 1 about 1/(2d), keeps a relative
-    error of order d ulps: 7e-16 at d = 3 against Watson's closed form,
-    5e-15 at d = 8 and 4e-14 at d = 16 against a 30-digit quadrature.
-    """
-    if d < 1:
-        raise UsageError(f"dimension must be >= 1, got {d}")
-    if d <= 2:
-        return 1.0
-    # trapezoid rule in t for u = exp(pi/2 sinh t): step 1/64 on t in
-    # [-4.5, 4.5], where the end nodes sit at u = 2e-31 and 5e30
-    t = np.arange(-288, 289) / 64.0
-    u = np.exp(0.5 * np.pi * np.sinh(t))
-    w = u * (0.5 * np.pi / 64.0) * np.cosh(t)
-    return 1.0 - 1.0 / float(w @ _i0e(u / d) ** d)
 
 
 # ---------------------------------------------------------------------------

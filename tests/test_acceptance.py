@@ -50,7 +50,7 @@ def test_criterion_01_survival_sandwich(criterion_report):
     parts, ok = [], True
     p8 = gate8 = None
     for d in (4, 6, 8):
-        h = walk.hitting_exact(d)
+        h = analytics.hitting_exact(d)
         lower = analytics.combined_survival_bound(lam, d, h, 20)
         est = contact.estimate_survival(
             contact.ContactParams(lam, d), 2000, 200.0, 500, 100 + d

@@ -1,16 +1,20 @@
-"""Closed-form layer: ODE integration and the survival bound arithmetic."""
+"""Closed-form layer: the exact H(d), ODE integration and the survival
+bound arithmetic."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i0e
 
 from contact_mf import analytics
 from contact_mf.analytics import (
     combined_survival_bound,
     dominating_walk_survival,
+    hitting_exact,
     mean_field_closed_form,
     reach_probability,
     second_moment_survival_bound,
@@ -20,7 +24,90 @@ from contact_mf.analytics import (
     threshold_error_bound,
 )
 from contact_mf.errors import InvariantViolation, UsageError
-from contact_mf.walk import hitting_exact
+
+
+# ------------------------------------------------------------- exact H
+
+# H(d) to 22 digits, from a 40-digit mpmath quadrature of the Bessel
+# integral; an independent 40-digit trapezoid rule agrees to 30 digits at
+# d = 16, 64 and 1024, and the d = 3 value matches Watson's closed form
+H_REFERENCE = {
+    3: "0.3405373295509991428263",
+    4: "0.1932016732249839373419",
+    5: "0.1351786098206552910473",
+    6: "0.1047154956288220108261",
+    7: "0.08584493411337900918811",
+    8: "0.07291264995938399846975",
+    9: "0.06344774965272473309556",
+    10: "0.05619753597426778812097",
+    11: "0.0504551598213313067535",
+    12: "0.04578912090062103788312",
+    13: "0.04191989707897463321727",
+    14: "0.03865787709067398563124",
+    15: "0.0358696231253565142294",
+    16: "0.0334583644657885297917",
+    64: "0.007938045177859624911158",
+    256: "0.001960807064107701352925",
+    1024: "0.0004887589040609634401956",
+}
+
+
+def _numpy_i0e(x: np.ndarray) -> np.ndarray:
+    """exp(-x) I_0(x) as the package once computed it: np.i0 below 700,
+    five asymptotic terms above."""
+    small = np.minimum(x, 700.0)
+    out = np.i0(small) * np.exp(-small)
+    big = x >= 700.0
+    if big.any():
+        z = 1.0 / (8.0 * x[big])
+        term = total = 1.0
+        for k in range(1, 6):
+            term = term * (2 * k - 1) ** 2 * z / k
+            total = total + term
+        out[big] = total / np.sqrt(2.0 * np.pi * x[big])
+    return out
+
+
+def _numpy_hitting(d: int) -> float:
+    """H(d) by the same trapezoid rule in numpy, summed by a BLAS dot: the
+    reference the scalar closed form replaced."""
+    t = np.arange(-288, 289) / 64.0
+    u = np.exp(0.5 * np.pi * np.sinh(t))
+    w = u * (0.5 * np.pi / 64.0) * np.cosh(t)
+    return 1.0 - 1.0 / float(w @ _numpy_i0e(u / d) ** d)
+
+
+def _error(value: float, d: int) -> Fraction:
+    """|value / H(d) - 1|, exact against the reference digits."""
+    exact = Fraction(H_REFERENCE[d])
+    return abs(Fraction(value) - exact) / exact
+
+
+def test_i0e_matches_scipy():
+    # both sides of the switch to the asymptotic series at x = 25
+    xs = np.geomspace(1e-30, 1e30, 2001).tolist()
+    xs += [math.nextafter(25.0, 0.0), 25.0, math.nextafter(25.0, math.inf)]
+    worst = max(abs(analytics._i0e(x) - float(i0e(x))) / float(i0e(x)) for x in xs)
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_hitting_exact_matches_the_numpy_rule(d):
+    # measured at most 6.1e-15; from d = 11 on, np.i0's own bias puts the
+    # numpy rule 2e-14 to 4.3e-14 off the quadrature, so the gate below
+    # takes over
+    assert abs(hitting_exact(d) / _numpy_hitting(d) - 1.0) <= 2e-14
+
+
+@pytest.mark.parametrize("d", range(3, 17))
+def test_hitting_exact_matches_a_40_digit_quadrature(d):
+    # measured at most 1.3e-14, at d = 16
+    assert _error(hitting_exact(d), d) <= 2e-14
+
+
+@pytest.mark.parametrize("d", [3, 8, 16, 64, 256, 1024])
+def test_hitting_exact_is_as_close_as_the_numpy_rule(d):
+    assert _error(hitting_exact(d), d) <= _error(_numpy_hitting(d), d)
 
 
 # ---------------------------------------------------------------- ODE

@@ -256,23 +256,37 @@ def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, message, 
                                            (2.0, 100, 19)])
 def test_best_level_matches_a_brute_force_scan(lam, d, best):
     # levels k >= 2d climb at rate lam*(1 - k/2d) <= 0, so the scan stops
-    # at 2d - 1; the brute force runs on to 4d
-    h = walk.hitting_exact(d)
+    # at 2d - 1; the brute force runs on to 4d.  The level is the lowest
+    # whose bound is within a relative LEVEL_TIE_RTOL of the top one
+    h = analytics.hitting_exact(d)
     values = [analytics.combined_survival_bound(lam, d, h, k) for k in range(1, 4 * d + 1)]
-    top = max(values)
-    assert values.index(top) + 1 == best
+    floor = max(values) * (1.0 - analytics.LEVEL_TIE_RTOL)
+    assert next(k for k, value in enumerate(values, 1) if value >= floor) == best
     bounds = analytics.survival_sandwich(lam, d, h)
-    assert (bounds.level, bounds.lower) == (best, top)
+    assert (bounds.level, bounds.lower) == (best, values[best - 1])
+
+
+@pytest.mark.parametrize("ulps", [-4, -3, -2, -1, 1, 2, 3, 4])
+def test_an_exact_level_tie_survives_ulps_of_h(ulps):
+    # at (lam, d) = (2, 6), reach(2)*floor(2) = floor(1) for every H, since
+    # 4*lam*mu = (mu + 1)*(3*lam - 1) at mu = lam*(1 - 1/d) = 5/3
+    h = analytics.hitting_exact(6)
+    for _ in range(abs(ulps)):
+        h = math.nextafter(h, math.copysign(math.inf, ulps))
+    one, two = (analytics.combined_survival_bound(2.0, 6, h, k) for k in (1, 2))
+    assert abs(two - one) <= 4 * math.ulp(one)
+    bounds = analytics.survival_sandwich(2.0, 6, h)
+    assert (bounds.level, bounds.lower) == (1, one)
 
 
 def test_survival_and_bound_use_the_exact_h_and_never_walk(monkeypatch, capsys):
     monkeypatch.setattr(walk, "hitting_mc", lambda *a, **k: pytest.fail("walked"))
     assert main(_FAST_CELL) == 0
     row = dict(zip(*_table_rows(capsys.readouterr().out)))
-    assert float(row["H_estimate"]) == walk.hitting_exact(4)
+    assert float(row["H_estimate"]) == analytics.hitting_exact(4)
     assert main(["bound", "--lambda", "2", "--d", "6"]) == 0
     row = dict(zip(*_table_rows(capsys.readouterr().out)))
-    assert float(row["H"]) == walk.hitting_exact(6)
+    assert float(row["H"]) == analytics.hitting_exact(6)
 
 
 def test_survival_ignores_the_walk_budget_flags(tmp_path, capsys):

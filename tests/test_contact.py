@@ -196,8 +196,7 @@ def test_mildly_subcritical_p_hat_zero():
 
 
 def test_supercritical_cell_sits_in_sandwich():
-    from contact_mf.analytics import combined_survival_bound
-    from contact_mf.walk import hitting_exact
+    from contact_mf.analytics import combined_survival_bound, hitting_exact
 
     est = estimate_survival(ContactParams(2.0, 6), 2_000, 200.0, 500, seed=4)
     h = hitting_exact(6)

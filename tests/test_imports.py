@@ -8,7 +8,8 @@ KEPT with the reason it stays.  Code that only tests call belongs in the
 tests.
 
 Each command loads only what it runs: importing the package loads no
-submodule, and the torus commands (duality, bcpp-check) never load numpy.
+submodule, and survival, bound and the torus commands (duality,
+bcpp-check) never load numpy.
 These run in a fresh interpreter, since this one has loaded everything."""
 
 import ast
@@ -151,16 +152,17 @@ def test_every_exported_name_is_its_module_attribute():
     assert names and set(names) <= set(contact_mf.__all__)
 
 
-def test_torus_commands_never_load_numpy():
+def test_survival_bound_and_torus_commands_never_load_numpy():
     # ode is the control: the same check reads True once a command uses numpy
     seen = _fresh(
         "import json, sys\n"
         "import contact_mf.cli as cli\n"
         "seen = ['numpy' in sys.modules]\n"
-        "for argv in (['duality', '--trials', '20'], ['bcpp-check', '--trials', '5'],\n"
+        "for argv in (['survival', '--d', '4,6', '--trials', '5'], ['bound', '--d', '6'],\n"
+        "             ['duality', '--trials', '20'], ['bcpp-check', '--trials', '5'],\n"
         "             ['ode', '--t-end', '1']):\n"
         "    assert cli.main(argv + ['--jobs', '1', '--seed', '1']) == 0\n"
         "    seen.append('numpy' in sys.modules)\n"
         "print(json.dumps(seen))"
     )
-    assert seen == [False, False, False, True]
+    assert seen == [False, False, False, False, False, True]

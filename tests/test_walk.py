@@ -1,5 +1,5 @@
-"""Hitting probabilities: the exact integral, the Monte Carlo walker and
-the Dirichlet solver.
+"""Hitting probabilities: the exact integral (analytics.hitting_exact), the
+Monte Carlo walker and the Dirichlet solver.
 
 The d=3 references below use the return probability 1 - 1/G of the simple
 random walk, with Watson's closed form of G (the walk from a neighbor hits
@@ -18,11 +18,11 @@ import numpy as np
 import pytest
 
 from contact_mf import walk
+from contact_mf.analytics import hitting_exact
 from contact_mf.errors import NumericalError, UsageError
 from contact_mf.lattice import class_neighbor_table, origin
 from contact_mf.walk import (
     absorbing_solve,
-    hitting_exact,
     hitting_harmonic,
     hitting_mc,
     kesten_check,
