@@ -1,10 +1,11 @@
 """Command-line surface: single experiments and (lam, d) campaign grids.
 
-Every subcommand resolves its seed the same way (--seed flag, then the
-config file, then CONTACT_MF_SEED, then 0), prints the formula it
-exercises as a leading comment line, and can serialize its result rows to
-CSV (floats at 17 significant digits, so files diff cleanly and round-trip
-exactly) or JSON.
+Every subcommand that draws randomness resolves its seed the same way
+(--seed flag, then the config file, then CONTACT_MF_SEED, then 0).  Every
+subcommand but campaign prints the formula it exercises as a leading
+comment line, and can serialize its result rows to CSV (floats at 17
+significant digits, so files diff cleanly and round-trip exactly) or JSON
+(non-finite floats as null).
 
 Exit codes: 0 success; 1 a checked statistical or analytic bound failed;
 2 bad usage; 3 numerical breakdown (non-convergence, vacuous-bound domain,
@@ -53,7 +54,10 @@ def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
         try:
             with open(tmp, "w") as fh:
                 if args.format == "json":
-                    json.dump(rows, fh, indent=2)
+                    # RFC 8259 has no NaN or Infinity, so a non-finite float is null
+                    finite = [{c: None if isinstance(v, float) and not abs(v) < float("inf") else v
+                               for c, v in row.items()} for row in rows]
+                    json.dump(finite, fh, indent=2, allow_nan=False)
                     fh.write("\n")
                 else:
                     fh.write(f"# {header}\n")
@@ -111,9 +115,9 @@ def _convert(key: str, spec, raw: str):
 def _resolve(args: argparse.Namespace, section: dict) -> None:
     """Fill each option the flags left at None: from the config section
     (keys are flags without their dashes, '-' or '_' alike), else from the
-    option table's default."""
+    option table's default, or for a seed from CONTACT_MF_SEED, else 0."""
     _, _, options = _COMMANDS[args.command]
-    rows = {flag[2:]: (spec, default) for flag, spec, default, _ in options + _COMMON}
+    rows = {flag[2:]: (spec, default) for flag, spec, default, _ in options}
     values = {key.replace("_", "-"): raw for key, raw in section.items()}
     unknown = sorted(values.keys() - rows.keys())
     if unknown:
@@ -122,21 +126,15 @@ def _resolve(args: argparse.Namespace, section: dict) -> None:
         if getattr(args, _dest(name)) is None:
             value = _convert(name, spec, values[name]) if name in values else default
             setattr(args, _dest(name), value)
-    if args.jobs < 1:
-        # refused here, before any walk or worker starts
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CONTACT_MF_SEED")
-    if env is not None:
+    if "seed" in rows and args.seed is None:
+        env = os.environ.get("CONTACT_MF_SEED", "0")
         try:
-            return int(env)
+            args.seed = int(env)
         except ValueError:
             raise UsageError(f"CONTACT_MF_SEED must be an integer, got {env!r}")
-    return 0
+    if "jobs" in rows and args.jobs < 1:
+        # refused here, before any walk or worker starts
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
 
 
 def _comma_list(kind):
@@ -200,10 +198,8 @@ def cmd_survival(args) -> int:
     # refused before any worker starts
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
-    if not (horizon > 0) or threshold < 1 or (args.bound_k is not None and args.bound_k < 1):
-        raise UsageError(f"need --horizon > 0, --threshold >= 1 and --bound-k >= 1, got "
-                         f"{horizon}, {threshold} and {args.bound_k}")
-    seed = _resolve_seed(args)
+    if not (horizon > 0) or threshold < 1:
+        raise UsageError(f"need --horizon > 0 and --threshold >= 1, got {horizon} and {threshold}")
     # every cell's H(d) is exact, in well under a millisecond, so the
     # parent computes the bounds (and refuses their arguments) before the
     # pool, which runs only trial blocks
@@ -211,10 +207,10 @@ def cmd_survival(args) -> int:
     for i, lam in enumerate(args.lam):
         for j, d in enumerate(args.d):
             # 63-bit mask keeps the serialized per-cell seed a plain int64
-            cell_seed = stream_key(seed, "survival-cell", i, j) & ((1 << 63) - 1)
+            cell_seed = stream_key(args.seed, "survival-cell", i, j) & ((1 << 63) - 1)
             params = contact.ContactParams(lam, d)
             hitting = analytics.hitting_exact(d)
-            bounds = analytics.survival_sandwich(lam, d, hitting, args.bound_k)
+            bounds = analytics.survival_sandwich(lam, d, hitting)
             cells.append((params, cell_seed, hitting, bounds))
     header = (
         "survival sandwich: reach(level)*floor(level) - 3*sigma <= p_hat"
@@ -287,17 +283,16 @@ def cmd_hitting(args) -> int:
     from . import walk
 
     d, method = args.d, args.method
-    seed = _resolve_seed(args)
     rows, problems = [], []
     if args.kesten is not None:
         table, problems = walk.kesten_check(args.kesten, n_walks=args.walks,
-                                            max_steps=args.max_steps, seed=seed)
+                                            max_steps=args.max_steps, seed=args.seed)
         columns = ["d", "H", "two_d_H", "std_err"]
         rows = [dict(zip(columns, row)) for row in table]
     else:
         columns = ["d", "method", "H", "std_err", "bracket_low", "bracket_high"]
         if method in ("monte-carlo", "both"):
-            est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=seed)
+            est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=args.seed)
             rows.append({
                 "d": d, "method": est.method, "H": est.h,
                 "std_err": est.std_err if est.std_err is not None else float("nan"),
@@ -320,7 +315,6 @@ def cmd_hitting(args) -> int:
 
 def cmd_duality(args) -> int:
     lam, d, side, t, trials = args.lam, args.d, args.torus_side, args.t, args.trials
-    seed = _resolve_seed(args)
     # refused here, before any worker starts
     if not 0 <= t < float("inf"):
         raise UsageError(f"time must be >= 0 and finite, got {t}")
@@ -329,7 +323,7 @@ def cmd_duality(args) -> int:
     params = contact.ContactParams(lam, d, Torus(d, side))
     header = "P(eta_t^O nonempty) = P(eta_t^full(O) = 1) on a torus (self-duality)"
     print(f"# {header}")
-    tasks = [(contact.tally_duality, params, t, block, seed)
+    tasks = [(contact.tally_duality, params, t, block, args.seed)
              for block in _blocks(trials, args.jobs)]
     (tallies,) = _run_tasks([tasks], args.jobs)
     res = contact.summarize_duality(*map(sum, zip(*tallies)), trials)
@@ -348,8 +342,7 @@ def cmd_duality(args) -> int:
 
 
 def cmd_bcpp_check(args) -> int:
-    lam, horizon, trials, jobs = args.lam, args.horizon, args.trials, args.jobs
-    seed = _resolve_seed(args)
+    lam, horizon, trials, jobs, seed = args.lam, args.horizon, args.trials, args.jobs, args.seed
     # refused here, before any worker starts
     if not (lam > 0):
         raise UsageError(f"infection rate must be positive, got {lam}")
@@ -421,19 +414,22 @@ def cmd_moments(args) -> int:
 def cmd_campaign(args) -> int:
     if not args.config:
         raise UsageError("campaign requires --config with one section per subcommand")
-    if args.out is not None or args.format is not None:
-        raise UsageError(
-            "campaign takes no --out or --format: one file cannot hold several "
-            "sections, so set out and format inside each section"
-        )
+    if args.jobs is not None and args.jobs < 1:
+        # refused before any section runs, even one that takes no --jobs
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    sections = _read_config(args.config)
+    if not sections:
+        raise UsageError(f"config file {args.config} has no section to run")
     worst = 0
-    for section, values in _read_config(args.config).items():
+    for section, values in sections.items():
         if section not in _COMMANDS or section == "campaign":
             raise UsageError(f"config section [{section}] is not a subcommand")
         print(f"== {section} ==")
         sub_args = _parse([section])
-        # flags first, so the config's seed and jobs only fill in when absent
-        sub_args.seed, sub_args.jobs = args.seed, args.jobs
+        # the flags beat the config's seed and jobs, in sections that take them
+        for name, value in (("seed", args.seed), ("jobs", args.jobs)):
+            if hasattr(sub_args, name):
+                setattr(sub_args, name, value)
         _resolve(sub_args, values)
         worst = max(worst, _COMMANDS[section][0](sub_args))
     return worst
@@ -444,14 +440,16 @@ def cmd_campaign(args) -> int:
 # ---------------------------------------------------------------------------
 
 # One row per option: (flag, type or choices, default, help).  A None
-# default is left for the command to work out (seed, bound-k, hitting,
-# level) or means the option is off (out, config, kesten).
-_COMMON = [
-    ("--seed", int, None, "master seed (fallback: config, then CONTACT_MF_SEED, then 0)"),
+# default is worked out later (seed by _resolve, hitting and level by the
+# command) or means the option is off (out, config, kesten).  A command
+# lists only the rows it reads: seed if it draws randomness, jobs if a pool.
+_SEED = ("--seed", int, None, "master seed (fallback: config, then CONTACT_MF_SEED, then 0)")
+_JOBS = ("--jobs", int, os.cpu_count() or 1, "worker processes")
+_CONFIG = ("--config", str, None, "INI-style config; section [<subcommand>] supplies defaults")
+_OUTPUT = [
     ("--out", str, None, "output file path (default: stdout table)"),
     ("--format", ("csv", "json"), "csv", "output format for --out"),
-    ("--config", str, None, "INI-style config; section [<subcommand>] supplies defaults"),
-    ("--jobs", int, os.cpu_count() or 1, "worker processes"),
+    _CONFIG,
 ]
 
 _H_IGNORED = "ignored: H(d) is exact; kept so existing command lines and configs still run"
@@ -465,22 +463,21 @@ _COMMANDS = {
         ("--trials", int, 2000, "trials per cell"),
         ("--horizon", float, 200.0, "censoring time"),
         ("--threshold", int, 500, "infected count treated as survival"),
-        ("--bound-k", int, None, "seed-set level for the lower bound (default: best level)"),
         ("--h-walks", int, None, _H_IGNORED),
         ("--h-max-steps", int, None, _H_IGNORED),
-    ]),
+    ] + [_SEED, _JOBS, *_OUTPUT]),
     "ode": (cmd_ode, "mean-field ODE vs closed form", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--t-end", float, 10.0, "end time"),
         ("--dt", float, 1e-3, "RK4 step"),
-    ]),
+    ] + _OUTPUT),
     "bound": (cmd_bound, "analytic survival floors for one (lambda, d)", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--d", int, 6, "dimension"),
         ("--hitting", float, None, "override the exact H"),
         ("--set-size", int, 1, "seed-set size of the floor"),
         ("--level", int, None, "seed-set level of the combined bound (default: --set-size)"),
-    ]),
+    ] + _OUTPUT),
     "hitting": (cmd_hitting, "walk hitting probability H(d)", [
         ("--d", int, 3, "dimension"),
         ("--method", ("monte-carlo", "harmonic-solve", "both"), "both", "estimator"),
@@ -488,14 +485,14 @@ _COMMANDS = {
         ("--max-steps", int, 10_000, "step budget of each walk"),
         ("--radius", int, 20, "box radius of the harmonic solve"),
         ("--kesten", _comma_list(int), None, "comma-separated dimensions for the 2dH sweep"),
-    ]),
+    ] + [_SEED, *_OUTPUT]),
     "duality": (cmd_duality, "single-site vs all-infected agreement on a torus", [
         ("--lambda", float, 1.5, "infection rate"),
         ("--d", int, 2, "dimension"),
         ("--torus-side", int, 8, "torus side length"),
         ("--t", float, 3.0, "time of the comparison"),
         ("--trials", int, 10_000, "paired trials"),
-    ]),
+    ] + [_SEED, _JOBS, *_OUTPUT]),
     "bcpp-check": (cmd_bcpp_check, "support coupling and first-moment calibration", [
         ("--lambda", float, 1.5, "infection rate"),
         ("--d", int, 2, "dimension"),
@@ -503,15 +500,16 @@ _COMMANDS = {
         ("--horizon", float, 5.0, "length of each coupled run"),
         ("--trials", int, 100, "coupled runs"),
         ("--times", _comma_list(float), (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
-    ]),
+    ] + [_SEED, _JOBS, *_OUTPUT]),
     "moments": (cmd_moments, "correlation evolution, stationary vector, pair bounds", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--d", int, 4, "dimension"),
         ("--radius", int, 10, "truncation radius"),
         ("--t", float, 1.0, "evolution time"),
         ("--set-size", int, 3, "largest seed-set size"),
-    ]),
-    "campaign": (cmd_campaign, "run every section of a config file", []),
+    ] + _OUTPUT),
+    # seed and jobs pass on to the sections whose command takes them
+    "campaign": (cmd_campaign, "run every section of a config file", [_CONFIG, _SEED, _JOBS]),
 }
 
 
@@ -529,7 +527,7 @@ def _parse(argv) -> argparse.Namespace:
     subs = top.add_subparsers(dest="command", required=True)
     for command, (_, summary, options) in _COMMANDS.items():
         p = subs.add_parser(command, help=summary)
-        for flag, spec, default, text in options + _COMMON:
+        for flag, spec, default, text in options:
             kind = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
             if default is not None:
                 shown = ",".join(map(str, default)) if isinstance(default, tuple) else default

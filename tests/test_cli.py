@@ -71,29 +71,32 @@ def test_bad_scalar_flag_is_a_usage_error(argv, capsys):
 
 
 # each subcommand's options with their defaults: the command-line surface,
-# pinned so that no default drifts and no flag is dropped or added
-_COMMON_DEFAULTS = {"seed": None, "out": None, "format": "csv", "config": None,
-                    "jobs": os.cpu_count() or 1}
+# pinned so that no default drifts and no flag is dropped or added.  Only
+# the commands that draw randomness take a seed (0 with no flag, config or
+# CONTACT_MF_SEED), and only those that run a pool take jobs
+_OUTPUT_DEFAULTS = {"out": None, "format": "csv", "config": None}
+_SEED, _JOBS = {"seed": 0}, {"jobs": os.cpu_count() or 1}
 _DEFAULTS = {
     "survival": {"lam": (2.0,), "d": (4, 6, 8), "trials": 2000, "horizon": 200.0,
-                 "threshold": 500, "bound_k": None, "h_walks": None,
-                 "h_max_steps": None},
+                 "threshold": 500, "h_walks": None, "h_max_steps": None, **_SEED, **_JOBS},
     "ode": {"lam": 2.0, "t_end": 10.0, "dt": 1e-3},
     "bound": {"lam": 2.0, "d": 6, "hitting": None, "set_size": 1, "level": None},
     "hitting": {"d": 3, "method": "both", "walks": 1_000_000, "max_steps": 10_000,
-                "radius": 20, "kesten": None},
-    "duality": {"lam": 1.5, "d": 2, "torus_side": 8, "t": 3.0, "trials": 10_000},
+                "radius": 20, "kesten": None, **_SEED},
+    "duality": {"lam": 1.5, "d": 2, "torus_side": 8, "t": 3.0, "trials": 10_000,
+                **_SEED, **_JOBS},
     "bcpp-check": {"lam": 1.5, "d": 2, "torus_side": 6, "horizon": 5.0, "trials": 100,
-                   "times": (0.5, 1.0, 2.0)},
+                   "times": (0.5, 1.0, 2.0), **_SEED, **_JOBS},
     "moments": {"lam": 2.0, "d": 4, "radius": 10, "t": 1.0, "set_size": 3},
 }
 
 
 @pytest.mark.parametrize("command", sorted(_DEFAULTS))
-def test_unset_options_resolve_to_their_defaults(command):
+def test_unset_options_resolve_to_their_defaults(command, monkeypatch):
+    monkeypatch.delenv("CONTACT_MF_SEED", raising=False)
     args = cli._parse([command])
     cli._resolve(args, {})
-    assert vars(args) == {"command": command, **_COMMON_DEFAULTS, **_DEFAULTS[command]}
+    assert vars(args) == {"command": command, **_OUTPUT_DEFAULTS, **_DEFAULTS[command]}
 
 
 @pytest.mark.parametrize("command", sorted(_DEFAULTS) + ["campaign"])
@@ -101,9 +104,33 @@ def test_each_subcommand_keeps_its_flags(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     flags = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
-    own = {"--" + ("lambda" if k == "lam" else k.replace("_", "-"))
-           for k in _DEFAULTS.get(command, {})}
-    assert flags == own | {"--seed", "--out", "--format", "--config", "--jobs"}
+    # campaign takes its config and the seed and jobs it passes on
+    names = {**_OUTPUT_DEFAULTS, **_DEFAULTS[command]} if command in _DEFAULTS else {
+        "config", "seed", "jobs"}
+    assert flags == {"--" + ("lambda" if k == "lam" else k.replace("_", "-")) for k in names}
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--seed", "1"], ["moments", "--jobs", "2"], ["hitting", "--jobs", "2"],
+    ["survival", "--bound-k", "3"],
+], ids=["ode-seed", "moments-jobs", "hitting-jobs", "survival-bound-k"])
+def test_a_flag_the_command_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("section", ["[bound]\nseed = 3\n", "[ode]\njobs = 2\n",
+                                     "[moments]\nseed = 3\n", "[survival]\nbound-k = 3\n"],
+                         ids=["bound-seed", "ode-jobs", "moments-seed", "survival-bound-k"])
+def test_a_config_key_the_command_does_not_read_exits_2(section, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
+    cfg = tmp_path / "inert.ini"
+    cfg.write_text(section)
+    command = section[1:section.index("]")]
+    assert main([command, "--config", str(cfg)]) == 2
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.count(f"unknown config key '{section.split()[1]}'") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +260,16 @@ def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
     assert "--trials must be >= 1" in capsys.readouterr().err
 
 
-_TRIAL_FLAGS = "need --horizon > 0, --threshold >= 1 and --bound-k >= 1"
+_TRIAL_FLAGS = "need --horizon > 0 and --threshold >= 1"
 
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--horizon", "-1", _TRIAL_FLAGS), ("--horizon", "nan", _TRIAL_FLAGS),
-    ("--threshold", "0", _TRIAL_FLAGS), ("--bound-k", "0", _TRIAL_FLAGS),
+    ("--threshold", "0", _TRIAL_FLAGS),
     # ContactParams takes lam = 0; the upper bound refuses it, and the
     # bounds are computed before the header and the pool
     ("--lambda", "0", "lambda must be positive, got 0.0"),
-], ids=["horizon-negative", "horizon-nan", "threshold", "bound-k", "lambda-zero"])
+], ids=["horizon-negative", "horizon-nan", "threshold", "lambda-zero"])
 def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, message, monkeypatch,
                                                           capsys):
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
@@ -447,13 +474,61 @@ def test_campaign_seed_flag_beats_config_seed(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == config_seed
 
 
-def test_campaign_refuses_out_and_format(tmp_path):
+def test_campaign_refuses_out_and_format(tmp_path, capsys):
+    # one file cannot hold several sections, so campaign has no such flags
     cfg = tmp_path / "ode.ini"
     cfg.write_text("[ode]\nlambda = 2.0\nt-end = 1.0\n")
     out = tmp_path / "x"
-    assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 2
+    for flags in (["--out", str(out)], ["--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--config", str(cfg)] + flags)
+        assert exc.value.code == 2
     assert not out.exists()
-    assert main(["campaign", "--config", str(cfg), "--format", "json"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_campaign_refuses_an_empty_config(tmp_path, capsys):
+    cfg = tmp_path / "empty.ini"
+    cfg.write_text("# no sections\n")
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert "has no section to run" in err
+    assert out == ""
+
+
+def test_campaign_refuses_jobs_below_one_before_any_section(tmp_path, capsys):
+    # neither section takes --jobs, and still the flag is refused up front
+    cfg = tmp_path / "plain.ini"
+    cfg.write_text("[ode]\nt-end = 1.0\n\n[bound]\nd = 6\n")
+    assert main(["campaign", "--config", str(cfg), "--jobs", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert "usage error: --jobs must be >= 1, got 0" in err
+    assert out == ""
+
+
+_SEEDED_SECTIONS = {
+    "survival": "lambda = 2.0\nd = 4\ntrials = 30\nhorizon = 30\nthreshold = 100\n",
+    "duality": "lambda = 1.5\nd = 1\ntorus-side = 6\nt = 1.0\ntrials = 100\n",
+    "bcpp-check": "lambda = 1.2\nd = 1\ntorus-side = 6\nhorizon = 2\ntrials = 10\n"
+                  "times = 0.5,1\n",
+}
+
+
+@pytest.mark.parametrize("section", sorted(_SEEDED_SECTIONS))
+def test_campaign_seed_beats_the_seed_of_each_random_section(section, tmp_path, capsys):
+    cfg = tmp_path / "seeded.ini"
+    cfg.write_text(f"[{section}]\n{_SEEDED_SECTIONS[section]}seed = 3\njobs = 1\n")
+    flags = [arg for line in _SEEDED_SECTIONS[section].splitlines()
+             for arg in ("--" + line.split(" = ")[0], line.split(" = ")[1])]
+    outputs = []
+    for seed in ("9", "3"):
+        assert main([section, "--seed", seed, "--jobs", "1"] + flags) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0] != outputs[1]
+    assert main(["campaign", "--config", str(cfg), "--seed", "9"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"== {section} =="] + outputs[0]
+    assert main(["campaign", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"== {section} =="] + outputs[1]
 
 
 def _record_pools(monkeypatch) -> list[int]:
@@ -500,6 +575,26 @@ def test_campaign_section_honours_json_format(tmp_path, capsys):
     rows = json.loads(out.read_text())
     assert rows[0]["method"] == "harmonic-solve"
     assert 0.0 < rows[0]["bracket_low"] <= rows[0]["bracket_high"] <= 1.0
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
+def test_json_writes_null_for_non_finite_floats(tmp_path, capsys):
+    # each estimator leaves the other's columns NaN: null in JSON, nan in CSV
+    argv = ["hitting", "--d", "3", "--method", "both", "--walks", "2000",
+            "--max-steps", "200", "--radius", "6", "--seed", "1", "--out"]
+    json_path, csv_path = tmp_path / "h.json", tmp_path / "h.csv"
+    assert main(argv + [str(json_path), "--format", "json"]) == 0
+    assert main(argv + [str(csv_path)]) == 0
+    capsys.readouterr()
+    mc, harmonic = json.loads(json_path.read_text(), parse_constant=_raise_on_constant)
+    assert (mc["bracket_low"], mc["bracket_high"], harmonic["std_err"]) == (None, None, None)
+    assert 0.0 < mc["H"] < 1.0 and 0.0 < harmonic["bracket_low"] <= harmonic["bracket_high"]
+    lines = csv_path.read_text().splitlines()
+    mc_csv, harmonic_csv = (dict(zip(lines[1].split(","), ln.split(","))) for ln in lines[2:])
+    assert (mc_csv["bracket_low"], harmonic_csv["std_err"]) == ("nan", "nan")
 
 
 def test_unknown_config_format_exits_2(tmp_path):
@@ -611,6 +706,12 @@ _BCPP = ["bcpp-check", "--lambda", "1.5", "--d", "1", "--torus-side", "8",
          "--horizon", "2", "--trials", "30", "--times", "1,0.5", "--seed", "9"]
 
 
+def _in_process(argv: list[str]) -> list[str]:
+    """argv with --jobs 1 if its command runs a pool, so none starts."""
+    takes_jobs = any(flag == "--jobs" for flag, *_ in cli._COMMANDS[argv[0]][2])
+    return argv + ["--jobs", "1"] * takes_jobs
+
+
 @pytest.mark.parametrize("argv", [
     ["ode", "--lambda", "nan"],
     ["ode", "--t-end", "nan"],
@@ -624,7 +725,7 @@ _BCPP = ["bcpp-check", "--lambda", "1.5", "--d", "1", "--torus-side", "8",
         "duality-lambda", "bcpp-lambda", "bcpp-times"])
 def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
-    assert main(argv + ["--jobs", "1"]) == 2
+    assert main(_in_process(argv)) == 2
     assert "usage error" in capsys.readouterr().err
 
 
@@ -637,7 +738,7 @@ def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
 def test_infinite_time_exits_2_before_any_task(argv, message, monkeypatch, capsys):
     # each of these would run forever (or overflow) if it got past its check
     monkeypatch.setattr(cli, "_run_tasks", lambda *a: pytest.fail("ran tasks"))
-    assert main(argv + ["--jobs", "1"]) == 2
+    assert main(_in_process(argv)) == 2
     assert message in capsys.readouterr().err
 
 
@@ -657,7 +758,7 @@ def test_infinite_time_exits_2_before_any_task(argv, message, monkeypatch, capsy
 ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
 def test_refusal_prints_no_formula_header(argv, capsys):
     # a refused command prints nothing on stdout, not even its "# formula" line
-    assert main(argv + ["--jobs", "1"]) == 2
+    assert main(_in_process(argv)) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -7,23 +7,29 @@ there is named by some code in src/ outside its own body, or is listed in
 KEPT with the reason it stays.  Code that only tests call belongs in the
 tests.
 
+Every option is read: each command's handler names each of its options as
+args.<dest>, or INERT gives the reason it stays.
+
 Each command loads only what it runs: importing the package loads no
 submodule, and survival, bound and the torus commands (duality,
 bcpp-check) never load numpy.
 These run in a fresh interpreter, since this one has loaded everything."""
 
 import ast
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import contact_mf
+from contact_mf import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
@@ -67,7 +73,8 @@ def test_no_unused_imports(path):
 SRC = sorted((ROOT / "src" / "contact_mf").glob("*.py"))
 
 # 'module.name' of each definition in src/ that nothing there names, and why it stays
-_TRACED = "bench/tracing.py traces it by name (TARGETS) until ROADMAP item 3"
+_TRACED = ("bench/tracing.py traces it by name (TARGETS) until ROADMAP item 1 retargets the "
+           "tracing, or item 6 retires it")
 KEPT = {
     "contact.estimate_survival": _TRACED,
     "contact.duality_check": _TRACED,
@@ -121,6 +128,37 @@ def test_every_definition_in_src_is_named_in_src():
     assert uncalled_definitions(sources) == sorted(KEPT)
 
 
+# options that no handler names as args.<dest>, and why each is kept
+_BENCH_ARGV = "the benchmark's survival argv passes it; ROADMAP item 1 deletes it"
+INERT = {("survival", "h_walks"): _BENCH_ARGV, ("survival", "h_max_steps"): _BENCH_ARGV}
+
+
+def unread_options(handler, dests) -> list[str]:
+    """Each of dests that handler's source never reads as args.<dest>.
+    out, format and config count as read: _emit and main read them."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(handler)))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    return sorted(set(dests) - read - {"out", "format", "config"})
+
+
+def _reads_alpha(args, other):
+    return args.alpha + len(args.out) + other.beta
+
+
+def test_checker_flags_options_their_handler_never_reads():
+    assert unread_options(_reads_alpha, ["alpha", "beta", "out", "config"]) == ["beta"]
+
+
+def test_every_option_is_read_by_its_handler():
+    unread = []
+    for command, (handler, *_) in cli._COMMANDS.items():
+        # the options as the command's parser builds them
+        dests = vars(cli._parse([command])).keys() - {"command"}
+        unread += [(command, dest) for dest in unread_options(handler, dests)]
+    assert sorted(unread) == sorted(INERT)
+
+
 def _fresh(code: str):
     """The JSON value that `code`, run in a new interpreter, prints last."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -158,10 +196,11 @@ def test_survival_bound_and_torus_commands_never_load_numpy():
         "import json, sys\n"
         "import contact_mf.cli as cli\n"
         "seen = ['numpy' in sys.modules]\n"
-        "for argv in (['survival', '--d', '4,6', '--trials', '5'], ['bound', '--d', '6'],\n"
-        "             ['duality', '--trials', '20'], ['bcpp-check', '--trials', '5'],\n"
-        "             ['ode', '--t-end', '1']):\n"
-        "    assert cli.main(argv + ['--jobs', '1', '--seed', '1']) == 0\n"
+        "pool = ['--jobs', '1', '--seed', '1']\n"
+        "for argv in (['survival', '--d', '4,6', '--trials', '5'] + pool,\n"
+        "             ['bound', '--d', '6'], ['duality', '--trials', '20'] + pool,\n"
+        "             ['bcpp-check', '--trials', '5'] + pool, ['ode', '--t-end', '1']):\n"
+        "    assert cli.main(argv) == 0\n"
         "    seen.append('numpy' in sys.modules)\n"
         "print(json.dumps(seen))"
     )
