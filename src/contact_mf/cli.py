@@ -46,9 +46,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
+def _emit(rows: list[dict], args, header: str) -> None:
     """Write rows to --out (via a renamed temp file, never half-written) or
-    echo a table to stdout, in csv or json."""
+    echo a table to stdout, in csv or json.  The columns are the first
+    row's keys, in order; every command has at least one row."""
+    columns = list(rows[0])
     if args.out:
         tmp = f"{args.out}.{os.getpid()}.tmp"
         try:
@@ -71,10 +73,7 @@ def _emit(rows: list[dict], columns: list[str], args, header: str) -> None:
             raise
         print(f"wrote {len(rows)} row(s) to {args.out}")
     else:
-        widths = {
-            c: max(len(c), *(len(_fmt(r[c])) for r in rows)) if rows else len(c)
-            for c in columns
-        }
+        widths = {c: max(len(c), *(len(_fmt(r[c])) for r in rows)) for c in columns}
         print("  ".join(c.rjust(widths[c]) for c in columns))
         for row in rows:
             print("  ".join(_fmt(row[c]).rjust(widths[c]) for c in columns))
@@ -227,7 +226,7 @@ def cmd_survival(args) -> int:
             params.lam, params.d, est.p_hat, est.std_err, est.n_censored, bounds.lower,
             bounds.upper, bounds.halved, hitting, bounds.level, cell_seed,
         ))))
-    _emit(rows, SURVIVAL_COLUMNS, args, header)
+    _emit(rows, args, header)
     ok = all(
         r["lower_bound"] - 3 * r["std_err"] <= r["p_hat"] <= r["upper_bound"] + 3 * r["std_err"]
         for r in rows
@@ -252,7 +251,7 @@ def cmd_ode(args) -> int:
     ]
     header = "df/dt = -f + lam*f*(1-f), f(0) = 1; fixed point max(0, (lam-1)/lam)"
     print(f"# {header}")
-    _emit(rows, ["t", "rk4", "closed_form", "abs_err"], args, header)
+    _emit(rows, args, header)
     sup = max(abs(float(v) - float(e)) for v, e in zip(sol.values, exact))
     print(f"sup |rk4 - closed| = {sup:.3e}; fixed point = {sol.fixed_point:.17g}")
     return 0
@@ -275,7 +274,7 @@ def cmd_bound(args) -> int:
         " reach(K) = (1 - 1/mu) / (1 - mu^-K), mu = lam*(1 - K/(2d))"
     )
     print(f"# {header}")
-    _emit(rows, list(rows[0].keys()), args, header)
+    _emit(rows, args, header)
     return 0
 
 
@@ -283,30 +282,26 @@ def cmd_hitting(args) -> int:
     from . import walk
 
     d, method = args.d, args.method
-    rows, problems = [], []
+    problems = []
     if args.kesten is not None:
         table, problems = walk.kesten_check(args.kesten, n_walks=args.walks,
                                             max_steps=args.max_steps, seed=args.seed)
-        columns = ["d", "H", "two_d_H", "std_err"]
-        rows = [dict(zip(columns, row)) for row in table]
+        rows = [{"d": dim, "H": h, "two_d_H": scaled, "std_err": se}
+                for dim, h, scaled, se in table]
     else:
-        columns = ["d", "method", "H", "std_err", "bracket_low", "bracket_high"]
+        estimates = []
         if method in ("monte-carlo", "both"):
-            est = walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps, seed=args.seed)
-            rows.append({
-                "d": d, "method": est.method, "H": est.h,
-                "std_err": est.std_err if est.std_err is not None else float("nan"),
-                "bracket_low": float("nan"), "bracket_high": float("nan"),
-            })
+            estimates.append(walk.hitting_mc(d, n_walks=args.walks, max_steps=args.max_steps,
+                                             seed=args.seed))
         if method in ("harmonic-solve", "both"):
-            est = walk.hitting_harmonic(d, args.radius)
-            rows.append({
-                "d": d, "method": est.method, "H": est.h, "std_err": float("nan"),
-                "bracket_low": est.bracket[0], "bracket_high": est.bracket[1],
-            })
+            estimates.append(walk.hitting_harmonic(d, args.radius))
+        # a route leaves the std_err or bracket it has no value for at NaN
+        rows = [{"d": d, "method": est.method, "H": est.h, "std_err": est.std_err,
+                 "bracket_low": est.bracket[0], "bracket_high": est.bracket[1]}
+                for est in estimates]
     header = "H = P(walk from e1 ever hits O); 2*d*H -> 1 in high dimension"
     print(f"# {header}")
-    _emit(rows, columns, args, header)
+    _emit(rows, args, header)
     if problems:
         print(f"kesten-window violation: {'; '.join(problems)}", file=sys.stderr)
         return 1
@@ -334,7 +329,7 @@ def cmd_duality(args) -> int:
         "p_full_covers_origin": res.p_full_covers_origin,
         "z_score": res.z_score,
     }]
-    _emit(rows, list(rows[0].keys()), args, header)
+    _emit(rows, args, header)
     if abs(res.z_score) >= 3.0:
         print(f"bound violation: |z| = {abs(res.z_score):.2f} >= 3", file=sys.stderr)
         return 1
@@ -367,7 +362,7 @@ def cmd_bcpp_check(args) -> int:
          "z_score": (m - 1.0) / se if se > 0 else 0.0}
         for t, m, se in table
     ]
-    _emit(rows, ["t", "mean_value_origin", "std_err", "z_score"], args, header)
+    _emit(rows, args, header)
     bad = [r for r in rows if abs(r["z_score"]) >= 3.0]
     if bad:
         print(f"bound violation: first moment off at t={[r['t'] for r in bad]}", file=sys.stderr)
@@ -403,7 +398,7 @@ def cmd_moments(args) -> int:
          "cs_bound": r.cs_bound, "closed_bound": r.closed_bound}
         for r in table
     ]
-    _emit(rows, ["set_size", "lhs", "rhs", "cs_bound", "closed_bound"], args, header)
+    _emit(rows, args, header)
     return 0
 
 
@@ -420,18 +415,23 @@ def cmd_campaign(args) -> int:
     sections = _read_config(args.config)
     if not sections:
         raise UsageError(f"config file {args.config} has no section to run")
-    worst = 0
+    # every section is named, parsed and resolved before the first one runs,
+    # so a bad section anywhere is refused before any output
+    runs = []
     for section, values in sections.items():
         if section not in _COMMANDS or section == "campaign":
             raise UsageError(f"config section [{section}] is not a subcommand")
-        print(f"== {section} ==")
         sub_args = _parse([section])
         # the flags beat the config's seed and jobs, in sections that take them
         for name, value in (("seed", args.seed), ("jobs", args.jobs)):
             if hasattr(sub_args, name):
                 setattr(sub_args, name, value)
         _resolve(sub_args, values)
-        worst = max(worst, _COMMANDS[section][0](sub_args))
+        runs.append(sub_args)
+    worst = 0
+    for sub_args in runs:
+        print(f"== {sub_args.command} ==")
+        worst = max(worst, _COMMANDS[sub_args.command][0](sub_args))
     return worst
 
 

@@ -6,9 +6,11 @@ that check it:
 
 * ``hitting_mc`` — direct Monte Carlo over many walks started at a unit
   vector, with a distance-block trick that advances each walk by its full
-  current l1-distance in a single multinomial draw (a walk at distance r
-  cannot touch the origin in fewer than r steps, so nothing is lost by
-  only inspecting block endpoints).
+  current l1-distance at once (a walk at distance r cannot touch the
+  origin in fewer than r steps, so nothing is lost by only inspecting
+  block endpoints).  Every round advances the same way: walks at distance
+  at most ``_RAW_BLOCK_CUTOFF`` take raw unit steps, the rest one
+  multinomial draw each.
 
 * ``hitting_harmonic`` — the discrete Dirichlet problem on a sup-norm box:
   h is harmonic away from the origin, pinned to 1 there, and 0 outside the
@@ -54,14 +56,14 @@ class HittingEstimate:
     """One estimate of P(walk from a unit vector ever visits the origin).
 
     ``bracket`` is only populated by the harmonic solver: (rigorous lower
-    bound, padded upper estimate).  ``std_err`` only by Monte Carlo.
+    bound, padded upper estimate).  ``std_err`` only by Monte Carlo.  The
+    route that leaves one unset leaves it NaN.
     """
 
     h: float
     method: str            # "monte-carlo" | "harmonic-solve"
-    truncation: int        # step budget (MC) or box radius (solve)
-    std_err: float | None = None
-    bracket: tuple[float, float] | None = None
+    std_err: float = math.nan
+    bracket: tuple[float, float] = (math.nan, math.nan)
     n_walks: int | None = None
 
 
@@ -92,8 +94,9 @@ def _mc_chunk(d: int, n: int, max_steps: int, rng: np.random.Generator) -> int:
     step inside such a block at which the origin can be visited is the
     last one, so checking block endpoints is exact.  Walks whose
     remaining budget is smaller than their distance are retired early.
-    Short blocks are sampled as raw unit steps, long ones as a single
-    multinomial endpoint draw; both are the exact k-step law.
+    Each round, blocks of at most _RAW_BLOCK_CUTOFF steps are sampled as
+    raw unit steps and longer ones as one multinomial endpoint draw; both
+    are the exact k-step law.
     """
     pos = np.zeros((n, d), dtype=np.int64)
     pos[:, 0] = 1
@@ -115,19 +118,13 @@ def _mc_chunk(d: int, n: int, max_steps: int, rng: np.random.Generator) -> int:
             dist = dist[keep]
             if not pos.shape[0]:
                 break
+        # either side may be empty: an empty draw leaves rng untouched
         small = dist <= _RAW_BLOCK_CUTOFF
-        if small.all():
-            _advance_raw(pos, slice(None), dist, d, rng)
-        elif small.any():
-            rows = np.flatnonzero(small)
-            _advance_raw(pos, rows, dist[rows], d, rng)
-            big = np.flatnonzero(~small)
-            counts = rng.multinomial(dist[big], probs)
-            pos[big] += counts[:, 0::2] - counts[:, 1::2]
-        else:
-            counts = rng.multinomial(dist, probs)
-            pos += counts[:, 0::2]
-            pos -= counts[:, 1::2]
+        rows = np.flatnonzero(small)
+        _advance_raw(pos, rows, dist[rows], d, rng)
+        big = np.flatnonzero(~small)
+        counts = rng.multinomial(dist[big], probs)
+        pos[big] += counts[:, 0::2] - counts[:, 1::2]
         remaining -= dist
     return hits
 
@@ -163,7 +160,6 @@ def hitting_mc(
     return HittingEstimate(
         h=h,
         method="monte-carlo",
-        truncation=max_steps,
         std_err=std_err,
         n_walks=n_walks,
     )
@@ -255,7 +251,6 @@ def hitting_harmonic(d: int, radius: int) -> HittingEstimate:
     return HittingEstimate(
         h=lower,
         method="harmonic-solve",
-        truncation=radius,
         bracket=(lower, upper),
     )
 

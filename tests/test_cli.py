@@ -506,6 +506,20 @@ def test_campaign_refuses_jobs_below_one_before_any_section(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("later", ["[bogus]\n", "[bound]\nbogus = 1\n"],
+                         ids=["unknown-section", "unknown-key"])
+def test_campaign_refuses_a_bad_later_section_before_any_runs(later, tmp_path, monkeypatch,
+                                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(f"[ode]\nt-end = 1.0\nout = ode_out.csv\n\n{later}")
+    assert main(["campaign", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error: ")
+    assert out == ""
+    assert not (tmp_path / "ode_out.csv").exists()
+
+
 _SEEDED_SECTIONS = {
     "survival": "lambda = 2.0\nd = 4\ntrials = 30\nhorizon = 30\nthreshold = 100\n",
     "duality": "lambda = 1.5\nd = 1\ntorus-side = 6\nt = 1.0\ntrials = 100\n",

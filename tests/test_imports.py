@@ -7,6 +7,10 @@ there is named by some code in src/ outside its own body, or is listed in
 KEPT with the reason it stays.  Code that only tests call belongs in the
 tests.
 
+Every result field is read: each annotated field of a class in src/ is
+read as an attribute somewhere in src/ or tests/, or UNREAD_FIELDS gives
+the reason it stays.
+
 Every option is read: each command's handler names each of its options as
 args.<dest>, or INERT gives the reason it stays.
 
@@ -126,6 +130,39 @@ def test_checker_flags_definitions_named_only_in_their_own_body():
 def test_every_definition_in_src_is_named_in_src():
     sources = {path.stem: path.read_text() for path in SRC}
     assert uncalled_definitions(sources) == sorted(KEPT)
+
+
+# 'module.Class.field' of each field in src/ that nothing reads, and why it stays
+UNREAD_FIELDS = {
+    "contact.SurvivalEstimate.threshold_escape_bound":
+        "contact must keep calling threshold_error_bound, which bench/tracing.py traces by "
+        "name (TARGETS) until ROADMAP item 1 retargets it; item 7 may read the field",
+}
+
+
+def unread_fields(class_sources: dict[str, str], readers: list[str]) -> list[str]:
+    """'module.Class.field' of each annotated field of a top-level class in
+    class_sources that no reader reads as an attribute.  By name only: a
+    read of the same name on any object counts; a store does not."""
+    reads = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{node.name}.{item.target.id}"
+                  for module, text in class_sources.items()
+                  for node in ast.parse(text).body if isinstance(node, ast.ClassDef)
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                  and item.target.id not in reads)
+
+
+def test_checker_flags_fields_never_read_as_attributes():
+    sources = {"a": "class R:\n    x: int\n    y: int = 0\n    z: int\n    w = 1\n"
+                    "def f(r):\n    r.z = 1\n    return r.x\n"}
+    assert unread_fields(sources, [*sources.values(), "print(R(1, 2, 3).y)"]) == ["a.R.z"]
+
+
+def test_every_result_field_is_read():
+    sources = {path.stem: path.read_text() for path in SRC}
+    assert unread_fields(sources, [path.read_text() for path in FILES]) == sorted(UNREAD_FIELDS)
 
 
 # options that no handler names as args.<dest>, and why each is kept

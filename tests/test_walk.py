@@ -21,6 +21,7 @@ from contact_mf import walk
 from contact_mf.analytics import hitting_exact
 from contact_mf.errors import NumericalError, UsageError
 from contact_mf.lattice import class_neighbor_table, origin
+from contact_mf.rng import np_substream
 from contact_mf.walk import (
     absorbing_solve,
     hitting_harmonic,
@@ -90,6 +91,26 @@ def test_mc_is_deterministic_in_seed():
     c = hitting_mc(4, n_walks=20_000, max_steps=500, seed=10)
     assert a.h == b.h
     assert a.h != c.h
+
+
+# exact h of hitting_mc at seed 0, so that any change to the walk stream
+# fails here and not only in criterion 4's clause at z = -2.11.  At d = 3,
+# 3 walks of at most 20,000 steps are the fewest walks whose one chunk has
+# a hit and all three kinds of round: 61 all-short, 106 mixed, 13 all-long.
+PINNED_H = {(1, 1_000, 10_000): 0.992, (3, 3, 20_000): 1 / 3, (8, 20_000, 2_000): 0.075}
+
+
+@pytest.mark.parametrize("d, n_walks, max_steps", sorted(PINNED_H))
+def test_mc_stream_is_pinned(d, n_walks, max_steps):
+    est = hitting_mc(d, n_walks=n_walks, max_steps=max_steps, seed=0)
+    assert est.h == PINNED_H[d, n_walks, max_steps]
+
+
+def test_mc_chunk_leaves_its_generator_at_the_pinned_state():
+    # a single hit out of 3 pins little; the generator's end state pins every draw
+    rng = np_substream(0, "hitting-mc", 3, 0)
+    assert walk._mc_chunk(3, 3, 20_000, rng) == 1
+    assert rng.bit_generator.state["state"]["state"] == 1838553214814914318153660974269078333
 
 
 def test_mc_rejects_bad_arguments():
