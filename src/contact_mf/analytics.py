@@ -26,6 +26,7 @@ log = logging.getLogger(__name__)
 RATIO_DEGENERACY_WINDOW = 1e-12  # |ruin ratio - 1| below this -> use the 1/level limit
 LEVEL_TIE_RTOL = 1e-12  # levels whose bounds agree to this are a tie, won by the lowest
 _I0E_ASYMPTOTIC_FROM = 25.0   # power series below, asymptotic series from here up
+ODE_MAX_STEPS = 10**7  # 1,000 times the CLI's default; each step is kept in two arrays
 
 
 def _i0e(x: float) -> float:
@@ -105,8 +106,8 @@ def solve_mean_field_ode(lam: float, t_end: float, dt: float) -> OdeSolution:
         raise UsageError(f"lambda must be positive, got {lam}")
     if not (0 < t_end < math.inf and dt > 0):
         raise UsageError(f"t_end must be positive and finite and dt positive, got {t_end}, {dt}")
-    if dt > t_end:
-        raise UsageError(f"dt={dt} exceeds t_end={t_end}")
+    if not 1 <= t_end / dt <= ODE_MAX_STEPS:
+        raise UsageError(f"t_end/dt must be 1 to {ODE_MAX_STEPS:,} steps, got {t_end}/{dt}")
     n_full = int(t_end / dt)
     remainder = t_end - n_full * dt
     times = [0.0]

@@ -1,11 +1,12 @@
 """Command-line surface: single experiments and (lam, d) campaign grids.
 
-Every subcommand that draws randomness resolves its seed the same way
-(--seed flag, then the config file, then CONTACT_MF_SEED, then 0).  Every
-subcommand but campaign prints the formula it exercises as a leading
-comment line, and can serialize its result rows to CSV (floats at 17
-significant digits, so files diff cleanly and round-trip exactly) or JSON
-(non-finite floats as null).
+Each option resolves from its flag, then the config file, then its default
+(a seed: CONTACT_MF_SEED, then 0); one outside its row's range, as --help
+shows it, exits 2 before any work, and campaign checks every section so
+before the first runs.  Every subcommand but campaign prints the formula
+it exercises as a leading comment line, and can serialize its result rows
+to CSV (floats at 17 significant digits, so files diff cleanly and
+round-trip exactly) or JSON (non-finite floats as null).
 
 Exit codes: 0 success; 1 a checked statistical or analytic bound failed;
 2 bad usage; 3 numerical breakdown (non-convergence, vacuous-bound domain,
@@ -114,9 +115,9 @@ def _convert(key: str, spec, raw: str):
 def _resolve(args: argparse.Namespace, section: dict) -> None:
     """Fill each option the flags left at None: from the config section
     (keys are flags without their dashes, '-' or '_' alike), else from the
-    option table's default, or for a seed from CONTACT_MF_SEED, else 0."""
-    _, _, options = _COMMANDS[args.command]
-    rows = {flag[2:]: (spec, default) for flag, spec, default, _ in options}
+    option table's default, or for a seed from CONTACT_MF_SEED, else 0;
+    then refuse any value outside its row's range."""
+    rows = {flag[2:]: (spec, default) for flag, spec, default, *_ in _COMMANDS[args.command][2]}
     values = {key.replace("_", "-"): raw for key, raw in section.items()}
     unknown = sorted(values.keys() - rows.keys())
     if unknown:
@@ -131,9 +132,15 @@ def _resolve(args: argparse.Namespace, section: dict) -> None:
             args.seed = int(env)
         except ValueError:
             raise UsageError(f"CONTACT_MF_SEED must be an integer, got {env!r}")
-    if "jobs" in rows and args.jobs < 1:
-        # refused here, before any walk or worker starts
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_ranges(args)
+
+
+def _check_ranges(args: argparse.Namespace) -> None:
+    """Refuse an option outside its row's range; an unset one (None) passes."""
+    for flag, _, _, _, *limit in _COMMANDS[args.command][2]:
+        value = getattr(args, _dest(flag[2:]))
+        if limit and value is not None and not _RANGES[limit[0]](value):
+            raise UsageError(f"{flag} must be {limit[0]}, got {value}")
 
 
 def _comma_list(kind):
@@ -194,11 +201,6 @@ def _coupled_events(lam: float, torus: Torus, horizon: float, block: range, seed
 
 def cmd_survival(args) -> int:
     trials, horizon, threshold = args.trials, args.horizon, args.threshold
-    # refused before any worker starts
-    if trials < 1:
-        raise UsageError(f"--trials must be >= 1, got {trials}")
-    if not (horizon > 0) or threshold < 1:
-        raise UsageError(f"need --horizon > 0 and --threshold >= 1, got {horizon} and {threshold}")
     # every cell's H(d) is exact, in well under a millisecond, so the
     # parent computes the bounds (and refuses their arguments) before the
     # pool, which runs only trial blocks
@@ -310,11 +312,6 @@ def cmd_hitting(args) -> int:
 
 def cmd_duality(args) -> int:
     lam, d, side, t, trials = args.lam, args.d, args.torus_side, args.t, args.trials
-    # refused here, before any worker starts
-    if not 0 <= t < float("inf"):
-        raise UsageError(f"time must be >= 0 and finite, got {t}")
-    if trials < 1:
-        raise UsageError(f"n_trials must be >= 1, got {trials}")
     params = contact.ContactParams(lam, d, Torus(d, side))
     header = "P(eta_t^O nonempty) = P(eta_t^full(O) = 1) on a torus (self-duality)"
     print(f"# {header}")
@@ -338,13 +335,6 @@ def cmd_duality(args) -> int:
 
 def cmd_bcpp_check(args) -> int:
     lam, horizon, trials, jobs, seed = args.lam, args.horizon, args.trials, args.jobs, args.seed
-    # refused here, before any worker starts
-    if not (lam > 0):
-        raise UsageError(f"infection rate must be positive, got {lam}")
-    if not 0 < horizon < float("inf"):
-        raise UsageError(f"horizon must be positive and finite, got {horizon}")
-    if trials < 1:
-        raise UsageError(f"n_trials must be >= 1, got {trials}")
     checkpoints = bcpp.checkpoint_times(args.times)
     torus = Torus(args.d, args.torus_side)
     header = "E[value(O)] = 1 for all t; strictly-positive support = infected set"
@@ -374,11 +364,9 @@ def cmd_moments(args) -> int:
     from . import moments
 
     lam, d, radius = args.lam, args.d, args.radius
-    # refused here, before the solve
-    if not 0 <= args.t < float("inf"):
-        raise UsageError(f"--t must be finite and >= 0, got {args.t}")
-    if not 1 <= args.set_size < radius:
-        raise UsageError(f"--set-size must be in [1, --radius), got {args.set_size}")
+    # two options' relation, which no one row can hold; refused before the solve
+    if args.set_size >= radius:
+        raise UsageError(f"--set-size must be < --radius {radius}, got {args.set_size}")
     gen = moments.CorrelationGenerator(lam, d, radius)
     header = (
         "dF/dt = A F with A(h+b) = 0 on interior rows;"
@@ -409,14 +397,14 @@ def cmd_moments(args) -> int:
 def cmd_campaign(args) -> int:
     if not args.config:
         raise UsageError("campaign requires --config with one section per subcommand")
-    if args.jobs is not None and args.jobs < 1:
-        # refused before any section runs, even one that takes no --jobs
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    # checked, not resolved, so an unset seed stays None and each section's
+    # seed key applies; a bad --jobs is refused even if no section takes it
+    _check_ranges(args)
     sections = _read_config(args.config)
     if not sections:
         raise UsageError(f"config file {args.config} has no section to run")
-    # every section is named, parsed and resolved before the first one runs,
-    # so a bad section anywhere is refused before any output
+    # every section is named, parsed, resolved and range-checked before the
+    # first one runs, so a bad section anywhere is refused before any output
     runs = []
     for section, values in sections.items():
         if section not in _COMMANDS or section == "campaign":
@@ -439,12 +427,20 @@ def cmd_campaign(args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-# One row per option: (flag, type or choices, default, help).  A None
-# default is worked out later (seed by _resolve, hitting and level by the
-# command) or means the option is off (out, config, kesten).  A command
-# lists only the rows it reads: seed if it draws randomness, jobs if a pool.
+# One row per option: (flag, type or choices, default, help[, range]).  A
+# None default is worked out later (seed by _resolve, hitting and level by
+# the command) or means the option is off (out, config, kesten).  A range
+# is a key of _RANGES, shown in --help and checked by _check_ranges (NaN
+# fails every one).  A command lists only the rows it reads: seed if it
+# draws randomness, jobs if a pool.
+_RANGES = {
+    ">= 1": lambda v: v >= 1,
+    "> 0": lambda v: v > 0,
+    "> 0 and finite": lambda v: 0 < v < float("inf"),
+    ">= 0 and finite": lambda v: 0 <= v < float("inf"),
+}
 _SEED = ("--seed", int, None, "master seed (fallback: config, then CONTACT_MF_SEED, then 0)")
-_JOBS = ("--jobs", int, os.cpu_count() or 1, "worker processes")
+_JOBS = ("--jobs", int, os.cpu_count() or 1, "worker processes", ">= 1")
 _CONFIG = ("--config", str, None, "INI-style config; section [<subcommand>] supplies defaults")
 _OUTPUT = [
     ("--out", str, None, "output file path (default: stdout table)"),
@@ -460,9 +456,9 @@ _COMMANDS = {
     "survival": (cmd_survival, "survival-probability campaign over a (lambda, d) grid", [
         ("--lambda", _comma_list(float), (2.0,), "comma-separated infection rates"),
         ("--d", _comma_list(int), (4, 6, 8), "comma-separated dimensions"),
-        ("--trials", int, 2000, "trials per cell"),
-        ("--horizon", float, 200.0, "censoring time"),
-        ("--threshold", int, 500, "infected count treated as survival"),
+        ("--trials", int, 2000, "trials per cell", ">= 1"),
+        ("--horizon", float, 200.0, "censoring time", "> 0"),
+        ("--threshold", int, 500, "infected count treated as survival", ">= 1"),
         ("--h-walks", int, None, _H_IGNORED),
         ("--h-max-steps", int, None, _H_IGNORED),
     ] + [_SEED, _JOBS, *_OUTPUT]),
@@ -490,23 +486,23 @@ _COMMANDS = {
         ("--lambda", float, 1.5, "infection rate"),
         ("--d", int, 2, "dimension"),
         ("--torus-side", int, 8, "torus side length"),
-        ("--t", float, 3.0, "time of the comparison"),
-        ("--trials", int, 10_000, "paired trials"),
+        ("--t", float, 3.0, "time of the comparison", ">= 0 and finite"),
+        ("--trials", int, 10_000, "paired trials", ">= 1"),
     ] + [_SEED, _JOBS, *_OUTPUT]),
     "bcpp-check": (cmd_bcpp_check, "support coupling and first-moment calibration", [
-        ("--lambda", float, 1.5, "infection rate"),
+        ("--lambda", float, 1.5, "infection rate", "> 0"),
         ("--d", int, 2, "dimension"),
         ("--torus-side", int, 6, "torus side length"),
-        ("--horizon", float, 5.0, "length of each coupled run"),
-        ("--trials", int, 100, "coupled runs"),
+        ("--horizon", float, 5.0, "length of each coupled run", "> 0 and finite"),
+        ("--trials", int, 100, "coupled runs", ">= 1"),
         ("--times", _comma_list(float), (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
     ] + [_SEED, _JOBS, *_OUTPUT]),
     "moments": (cmd_moments, "correlation evolution, stationary vector, pair bounds", [
         ("--lambda", float, 2.0, "infection rate"),
         ("--d", int, 4, "dimension"),
         ("--radius", int, 10, "truncation radius"),
-        ("--t", float, 1.0, "evolution time"),
-        ("--set-size", int, 3, "largest seed-set size"),
+        ("--t", float, 1.0, "evolution time", ">= 0 and finite"),
+        ("--set-size", int, 3, "largest seed-set size (below --radius)", ">= 1"),
     ] + _OUTPUT),
     # seed and jobs pass on to the sections whose command takes them
     "campaign": (cmd_campaign, "run every section of a config file", [_CONFIG, _SEED, _JOBS]),
@@ -527,11 +523,13 @@ def _parse(argv) -> argparse.Namespace:
     subs = top.add_subparsers(dest="command", required=True)
     for command, (_, summary, options) in _COMMANDS.items():
         p = subs.add_parser(command, help=summary)
-        for flag, spec, default, text in options:
+        for flag, spec, default, text, *limit in options:
             kind = {"choices": spec} if isinstance(spec, tuple) else {"type": spec}
             if default is not None:
                 shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
                 text = f"{text} (default {shown})"
+            if limit:
+                text = f"{text}, must be {limit[0]}"
             p.add_argument(flag, dest=_dest(flag[2:]), default=None, help=text, **kind)
     return top.parse_args(argv)
 

@@ -142,8 +142,9 @@ def test_ode_rejects_bad_steps():
         solve_mean_field_ode(2.0, 1.0, 2.0)
     with pytest.raises(UsageError):
         solve_mean_field_ode(-1.0, 1.0, 0.1)
+    # 2e7 steps is past ODE_MAX_STEPS, and refused before any is taken
     for args in ((math.nan, 1.0, 0.1), (2.0, math.nan, 0.1), (2.0, 1.0, math.nan),
-                 (2.0, math.inf, 0.1)):
+                 (2.0, math.inf, 0.1), (2.0, 1.0, 5e-8), (2.0, 10.0, 1e-300)):
         with pytest.raises(UsageError):
             solve_mean_field_ode(*args)
 

@@ -110,6 +110,17 @@ def test_each_subcommand_keeps_its_flags(command, capsys):
     assert flags == {"--" + ("lambda" if k == "lam" else k.replace("_", "-")) for k in names}
 
 
+def test_help_shows_each_range_after_its_default(capsys):
+    with pytest.raises(SystemExit):
+        main(["bcpp-check", "--help"])
+    flattened = " ".join(capsys.readouterr().out.split())
+    for text in ("infection rate (default 1.5), must be > 0",
+                 "length of each coupled run (default 5.0), must be > 0 and finite",
+                 "coupled runs (default 100), must be >= 1",
+                 f"worker processes (default {os.cpu_count() or 1}), must be >= 1"):
+        assert text in flattened
+
+
 @pytest.mark.parametrize("argv", [
     ["ode", "--seed", "1"], ["moments", "--jobs", "2"], ["hitting", "--jobs", "2"],
     ["survival", "--bound-k", "3"],
@@ -260,12 +271,10 @@ def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
     assert "--trials must be >= 1" in capsys.readouterr().err
 
 
-_TRIAL_FLAGS = "need --horizon > 0 and --threshold >= 1"
-
-
 @pytest.mark.parametrize("flag, value, message", [
-    ("--horizon", "-1", _TRIAL_FLAGS), ("--horizon", "nan", _TRIAL_FLAGS),
-    ("--threshold", "0", _TRIAL_FLAGS),
+    ("--horizon", "-1", "--horizon must be > 0, got -1.0"),
+    ("--horizon", "nan", "--horizon must be > 0, got nan"),
+    ("--threshold", "0", "--threshold must be >= 1, got 0"),
     # ContactParams takes lam = 0; the upper bound refuses it, and the
     # bounds are computed before the header and the pool
     ("--lambda", "0", "lambda must be positive, got 0.0"),
@@ -506,8 +515,21 @@ def test_campaign_refuses_jobs_below_one_before_any_section(tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("later", ["[bogus]\n", "[bound]\nbogus = 1\n"],
-                         ids=["unknown-section", "unknown-key"])
+# one out-of-range value per option row that has a range, each refused
+# before the ode section writes its file
+_OUT_OF_RANGE = {
+    "survival": ["trials = 0", "horizon = -1", "threshold = 0", "jobs = 0"],
+    "duality": ["t = inf", "trials = 0"],
+    "bcpp-check": ["lambda = 0", "horizon = 0", "trials = 0"],
+    "moments": ["t = -1", "set-size = 0"],
+}
+
+
+@pytest.mark.parametrize("later", ["[bogus]\n", "[bound]\nbogus = 1\n"] + [
+    f"[{section}]\n{line}\n" for section, lines in _OUT_OF_RANGE.items() for line in lines
+], ids=["unknown-section", "unknown-key"] + [
+    f"{section}-{line.split()[0]}" for section, lines in _OUT_OF_RANGE.items() for line in lines
+])
 def test_campaign_refuses_a_bad_later_section_before_any_runs(later, tmp_path, monkeypatch,
                                                              capsys):
     monkeypatch.chdir(tmp_path)
@@ -664,11 +686,11 @@ def test_moments_vacuous_dimension_exits_3(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--set-size", "0"], "--set-size must be in [1, --radius)"),
-    (["--set-size", "6"], "--set-size must be in [1, --radius)"),
-    (["--t", "nan"], "--t must be finite and >= 0"),
-    (["--t", "-1"], "--t must be finite and >= 0"),
-    (["--t", "inf"], "--t must be finite and >= 0"),
+    (["--set-size", "0"], "--set-size must be >= 1, got 0"),
+    (["--set-size", "6"], "--set-size must be < --radius 6, got 6"),
+    (["--t", "nan"], "--t must be >= 0 and finite, got nan"),
+    (["--t", "-1"], "--t must be >= 0 and finite, got -1.0"),
+    (["--t", "inf"], "--t must be >= 0 and finite, got inf"),
     (["--lambda", "nan"], "infection rate must be positive"),
 ], ids=["set-size-0", "set-size-radius", "t-nan", "t-negative", "t-inf", "lambda-nan"])
 def test_moments_refuses_bad_arguments_before_the_solve(flags, message, monkeypatch, capsys):
@@ -744,8 +766,9 @@ def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["duality", "--lambda", "3", "--t", "inf", "--trials", "1"], "time must be >= 0 and finite"),
-    (_BCPP + ["--horizon", "inf"], "horizon must be positive and finite"),
+    (["duality", "--lambda", "3", "--t", "inf", "--trials", "1"],
+     "--t must be >= 0 and finite, got inf"),
+    (_BCPP + ["--horizon", "inf"], "--horizon must be > 0 and finite, got inf"),
     (_BCPP + ["--times", "0.5,inf"], "checkpoint times must be >= 0 and finite"),
     (["ode", "--t-end", "inf"], "t_end must be positive and finite"),
 ], ids=["duality-t", "bcpp-horizon", "bcpp-times", "ode-t-end"])
@@ -759,6 +782,8 @@ def test_infinite_time_exits_2_before_any_task(argv, message, monkeypatch, capsy
 @pytest.mark.parametrize("argv", [
     ["ode", "--t-end", "inf"],
     ["ode", "--dt", "0"],
+    # 10^301 steps: refused before the step list is built
+    ["ode", "--dt", "1e-300"],
     ["bound", "--level", "0"],
     ["bound", "--lambda", "1"],
     ["hitting", "--d", "0", "--method", "monte-carlo", "--walks", "10"],
@@ -824,15 +849,15 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_DUALITY + ["--t", "-1"], "time must be >= 0"),
-    (_DUALITY + ["--t", "nan"], "time must be >= 0"),
-    (_DUALITY + ["--trials", "0"], "n_trials must be >= 1"),
+    (_DUALITY + ["--t", "-1"], "--t must be >= 0 and finite, got -1.0"),
+    (_DUALITY + ["--t", "nan"], "--t must be >= 0 and finite, got nan"),
+    (_DUALITY + ["--trials", "0"], "--trials must be >= 1, got 0"),
     (_BCPP + ["--times", "-1"], "checkpoint times must be >= 0"),
-    (_BCPP + ["--horizon", "0"], "horizon must be positive"),
-    (_BCPP + ["--horizon", "nan"], "horizon must be positive"),
-    (_BCPP + ["--trials", "-5"], "n_trials must be >= 1"),
-    (_BCPP + ["--lambda", "nan"], "infection rate must be positive, got nan"),
-    (_BCPP + ["--lambda", "0"], "infection rate must be positive, got 0"),
+    (_BCPP + ["--horizon", "0"], "--horizon must be > 0 and finite, got 0.0"),
+    (_BCPP + ["--horizon", "nan"], "--horizon must be > 0 and finite, got nan"),
+    (_BCPP + ["--trials", "-5"], "--trials must be >= 1, got -5"),
+    (_BCPP + ["--lambda", "nan"], "--lambda must be > 0, got nan"),
+    (_BCPP + ["--lambda", "0"], "--lambda must be > 0, got 0.0"),
 ], ids=["duality-t", "duality-t-nan", "duality-trials", "bcpp-times", "bcpp-horizon",
         "bcpp-horizon-nan", "bcpp-trials", "bcpp-lambda-nan", "bcpp-lambda-zero"])
 def test_pool_commands_refuse_bad_arguments_before_any_pool(argv, message,

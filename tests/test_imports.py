@@ -14,6 +14,10 @@ the reason it stays.
 Every option is read: each command's handler names each of its options as
 args.<dest>, or INERT gives the reason it stays.
 
+Every option range lives in the option table: no command's handler raises
+a UsageError of its own, unless REFUSALS gives the reason no option row's
+range can hold that check.
+
 Each command loads only what it runs: importing the package loads no
 submodule, and survival, bound and the torus commands (duality,
 bcpp-check) never load numpy.
@@ -34,6 +38,7 @@ import pytest
 
 import contact_mf
 from contact_mf import cli
+from contact_mf.errors import UsageError
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
@@ -194,6 +199,55 @@ def test_every_option_is_read_by_its_handler():
         dests = vars(cli._parse([command])).keys() - {"command"}
         unread += [(command, dest) for dest in unread_options(handler, dests)]
     assert sorted(unread) == sorted(INERT)
+
+
+# each UsageError a handler raises itself, as (command, message with each
+# formatted value as {}), and why no option row's range can hold it
+_CONFIG_LEVEL = "a refusal of the config file itself, which no option row describes"
+REFUSALS = {
+    ("moments", "--set-size must be < --radius {}, got {}"):
+        "it compares two options, and a row's range holds one",
+    ("campaign", "campaign requires --config with one section per subcommand"): _CONFIG_LEVEL,
+    ("campaign", "config file {} has no section to run"): _CONFIG_LEVEL,
+    ("campaign", "config section [{}] is not a subcommand"): _CONFIG_LEVEL,
+}
+
+
+def handler_refusals(handler) -> list[str]:
+    """The message of each UsageError that handler's own source raises:
+    each formatted value, or a message that is no literal, as {}, and a
+    bare raise as ''."""
+    messages = []
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(handler)))):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        call = node.exc if isinstance(node.exc, ast.Call) else ast.Call(node.exc, [], [])
+        if isinstance(call.func, ast.Name) and call.func.id == "UsageError":
+            (text,) = call.args or [ast.Constant("")]
+            parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+            messages.append("".join(p.value if isinstance(p, ast.Constant) else "{}"
+                                    for p in parts))
+    return messages
+
+
+def _refuses(args):
+    if args.low < args.floor:
+        raise UsageError(f"--low must be >= {args.floor}, got {args.low}")
+    if args.name:
+        raise UsageError(args.name)
+    if args.bare:
+        raise UsageError
+    raise ValueError("not a usage error")
+
+
+def test_checker_flags_each_usage_error_a_handler_raises():
+    assert handler_refusals(_refuses) == ["--low must be >= {}, got {}", "{}", ""]
+
+
+def test_handlers_hold_no_check_an_option_row_could():
+    raised = [(command, message) for command, (handler, *_) in cli._COMMANDS.items()
+              for message in handler_refusals(handler)]
+    assert sorted(raised) == sorted(REFUSALS)
 
 
 def _fresh(code: str):
