@@ -11,7 +11,6 @@ Watson–Montroll integral, or 0 for the infinite-dimension limit.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -20,8 +19,6 @@ from .errors import InvariantViolation, UsageError
 
 if TYPE_CHECKING:
     import numpy as np
-
-log = logging.getLogger(__name__)
 
 RATIO_DEGENERACY_WINDOW = 1e-12  # |ruin ratio - 1| below this -> use the 1/level limit
 LEVEL_TIE_RTOL = 1e-12  # levels whose bounds agree to this are a tie, won by the lowest
@@ -171,7 +168,9 @@ def reach_probability(lam: float, d: int | None, level: int) -> float:
         return 1.0
     mu = lam if d is None else lam * (1.0 - level / (2.0 * d))
     if mu <= 0.0:
-        log.info(
+        import logging
+
+        logging.getLogger(__name__).info(
             "reach_probability degenerate: up-rate lam*(1-level/2d) = %.6g <= 0 "
             "(lam=%g, d=%s, level=%d); returning 0", mu, lam, d, level,
         )

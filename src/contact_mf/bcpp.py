@@ -21,7 +21,6 @@ The exponential is multiplicative over time splits, so laziness is exact.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 from math import exp, log
@@ -43,8 +42,6 @@ __all__ = [
     "first_moment_check",
     "pair_moment_mc",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class BcppField:
@@ -90,7 +87,9 @@ class BcppField:
     def _note_underflow(self) -> None:
         self._underflow_count += 1
         if self._underflow_count == 1:
-            logger.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "site value underflowed to 0 at t=%.6g (lam=%g); support "
                 "will disagree with the strictly-positive ideal from here on",
                 self.time, self.lam,

@@ -16,14 +16,12 @@ blow-up); 4 file I/O.
 from __future__ import annotations
 
 import argparse
-import configparser
-import json
 import os
 import sys
 
-# walk and moments load numpy, so only hitting and moments import them;
-# survival, bound, duality and bcpp-check run without it
-from . import analytics, bcpp, contact
+# a module that only some commands call (bcpp, walk, moments, json,
+# configparser) is imported where it is called: none loads one it never calls
+from . import analytics, contact
 from .errors import InvariantViolation, NumericalError, UsageError
 from .lattice import Torus
 from .rng import stream_key, substream
@@ -57,6 +55,8 @@ def _emit(rows: list[dict], args, header: str) -> None:
         try:
             with open(tmp, "w") as fh:
                 if args.format == "json":
+                    import json
+
                     # RFC 8259 has no NaN or Infinity, so a non-finite float is null
                     finite = [{c: None if isinstance(v, float) and not abs(v) < float("inf") else v
                                for c, v in row.items()} for row in rows]
@@ -86,6 +86,8 @@ def _emit(rows: list[dict], args, header: str) -> None:
 
 def _read_config(path: str) -> dict[str, dict]:
     """Each section of an INI config file as a dict of its raw values."""
+    import configparser
+
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -139,7 +141,7 @@ def _check_ranges(args: argparse.Namespace) -> None:
     """Refuse an option outside its row's range; an unset one (None) passes."""
     for flag, _, _, _, *limit in _COMMANDS[args.command][2]:
         value = getattr(args, _dest(flag[2:]))
-        if limit and value is not None and not _RANGES[limit[0]](value):
+        if limit and value is not None and not _RANGES[limit[0]](value, args):
             raise UsageError(f"{flag} must be {limit[0]}, got {value}")
 
 
@@ -195,6 +197,8 @@ def _run_tasks(groups: list[list], jobs: int) -> list[list]:
 
 def _coupled_events(lam: float, torus: Torus, horizon: float, block: range, seed: int) -> int:
     """Summed bcpp coupled-run event count of the trial indices in `block`."""
+    from . import bcpp
+
     return sum(bcpp.run_coupled(lam, torus, horizon, substream(seed, "coupled", i))
                for i in block)
 
@@ -334,6 +338,8 @@ def cmd_duality(args) -> int:
 
 
 def cmd_bcpp_check(args) -> int:
+    from . import bcpp
+
     lam, horizon, trials, jobs, seed = args.lam, args.horizon, args.trials, args.jobs, args.seed
     checkpoints = bcpp.checkpoint_times(args.times)
     torus = Torus(args.d, args.torus_side)
@@ -363,11 +369,7 @@ def cmd_bcpp_check(args) -> int:
 def cmd_moments(args) -> int:
     from . import moments
 
-    lam, d, radius = args.lam, args.d, args.radius
-    # two options' relation, which no one row can hold; refused before the solve
-    if args.set_size >= radius:
-        raise UsageError(f"--set-size must be < --radius {radius}, got {args.set_size}")
-    gen = moments.CorrelationGenerator(lam, d, radius)
+    gen = moments.CorrelationGenerator(args.lam, args.d, args.radius)
     header = (
         "dF/dt = A F with A(h+b) = 0 on interior rows;"
         " floor(n) = n^2*b / ((n^2-n)*(H+b) + n*(1+b))"
@@ -431,13 +433,14 @@ def cmd_campaign(args) -> int:
 # None default is worked out later (seed by _resolve, hitting and level by
 # the command) or means the option is off (out, config, kesten).  A range
 # is a key of _RANGES, shown in --help and checked by _check_ranges (NaN
-# fails every one).  A command lists only the rows it reads: seed if it
-# draws randomness, jobs if a pool.
+# fails every one); it may name another option of the command.  A command
+# lists only the rows it reads: seed if it draws randomness, jobs if a pool.
 _RANGES = {
-    ">= 1": lambda v: v >= 1,
-    "> 0": lambda v: v > 0,
-    "> 0 and finite": lambda v: 0 < v < float("inf"),
-    ">= 0 and finite": lambda v: 0 <= v < float("inf"),
+    ">= 1": lambda v, args: v >= 1,
+    "> 0": lambda v, args: v > 0,
+    "> 0 and finite": lambda v, args: 0 < v < float("inf"),
+    ">= 0 and finite": lambda v, args: 0 <= v < float("inf"),
+    ">= 1 and < --radius": lambda v, args: 1 <= v < args.radius,
 }
 _SEED = ("--seed", int, None, "master seed (fallback: config, then CONTACT_MF_SEED, then 0)")
 _JOBS = ("--jobs", int, os.cpu_count() or 1, "worker processes", ">= 1")
@@ -502,7 +505,7 @@ _COMMANDS = {
         ("--d", int, 4, "dimension"),
         ("--radius", int, 10, "truncation radius"),
         ("--t", float, 1.0, "evolution time", ">= 0 and finite"),
-        ("--set-size", int, 3, "largest seed-set size (below --radius)", ">= 1"),
+        ("--set-size", int, 3, "largest seed-set size", ">= 1 and < --radius"),
     ] + _OUTPUT),
     # seed and jobs pass on to the sections whose command takes them
     "campaign": (cmd_campaign, "run every section of a config file", [_CONFIG, _SEED, _JOBS]),

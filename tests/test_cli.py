@@ -525,11 +525,17 @@ _OUT_OF_RANGE = {
 }
 
 
-@pytest.mark.parametrize("later", ["[bogus]\n", "[bound]\nbogus = 1\n"] + [
-    f"[{section}]\n{line}\n" for section, lines in _OUT_OF_RANGE.items() for line in lines
-], ids=["unknown-section", "unknown-key"] + [
-    f"{section}-{line.split()[0]}" for section, lines in _OUT_OF_RANGE.items() for line in lines
-])
+_BAD_LATER = {
+    "unknown-section": "[bogus]\n",
+    "unknown-key": "[bound]\nbogus = 1\n",
+    # the default radius is 10: a range that names another option
+    "moments-set-size-radius": "[moments]\nset-size = 12\n",
+    **{f"{section}-{line.split()[0]}": f"[{section}]\n{line}\n"
+       for section, lines in _OUT_OF_RANGE.items() for line in lines},
+}
+
+
+@pytest.mark.parametrize("later", list(_BAD_LATER.values()), ids=list(_BAD_LATER))
 def test_campaign_refuses_a_bad_later_section_before_any_runs(later, tmp_path, monkeypatch,
                                                              capsys):
     monkeypatch.chdir(tmp_path)
@@ -686,8 +692,8 @@ def test_moments_vacuous_dimension_exits_3(capsys):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--set-size", "0"], "--set-size must be >= 1, got 0"),
-    (["--set-size", "6"], "--set-size must be < --radius 6, got 6"),
+    (["--set-size", "0"], "--set-size must be >= 1 and < --radius, got 0"),
+    (["--set-size", "6"], "--set-size must be >= 1 and < --radius, got 6"),
     (["--t", "nan"], "--t must be >= 0 and finite, got nan"),
     (["--t", "-1"], "--t must be >= 0 and finite, got -1.0"),
     (["--t", "inf"], "--t must be >= 0 and finite, got inf"),

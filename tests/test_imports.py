@@ -20,7 +20,9 @@ range can hold that check.
 
 Each command loads only what it runs: importing the package loads no
 submodule, and survival, bound and the torus commands (duality,
-bcpp-check) never load numpy.
+bcpp-check) never load numpy; those commands and ode load neither
+OpenSSL (_hashlib) nor logging, and importing the CLI loads neither
+configparser, json nor bcpp.
 These run in a fresh interpreter, since this one has loaded everything."""
 
 import ast
@@ -205,8 +207,6 @@ def test_every_option_is_read_by_its_handler():
 # formatted value as {}), and why no option row's range can hold it
 _CONFIG_LEVEL = "a refusal of the config file itself, which no option row describes"
 REFUSALS = {
-    ("moments", "--set-size must be < --radius {}, got {}"):
-        "it compares two options, and a row's range holds one",
     ("campaign", "campaign requires --config with one section per subcommand"): _CONFIG_LEVEL,
     ("campaign", "config file {} has no section to run"): _CONFIG_LEVEL,
     ("campaign", "config section [{}] is not a subcommand"): _CONFIG_LEVEL,
@@ -296,3 +296,26 @@ def test_survival_bound_and_torus_commands_never_load_numpy():
         "print(json.dumps(seen))"
     )
     assert seen == [False, False, False, False, False, True]
+
+
+def test_commands_load_no_openssl_logging_or_unused_stdlib():
+    # hitting's Monte Carlo is the control: numpy.random imports secrets,
+    # which loads _hashlib, so the same check reads True there
+    seen = _fresh(
+        "import sys\n"
+        "import contact_mf.cli as cli\n"
+        "bare = [m in sys.modules for m in\n"
+        "        ('configparser', 'json', 'contact_mf.bcpp', '_hashlib', 'logging')]\n"
+        "seen = []\n"
+        "pool = ['--jobs', '1', '--seed', '1']\n"
+        "for argv in (['survival', '--d', '4,6', '--trials', '5'] + pool,\n"
+        "             ['bound', '--d', '6'], ['duality', '--trials', '20'] + pool,\n"
+        "             ['bcpp-check', '--trials', '5'] + pool, ['ode', '--t-end', '1'],\n"
+        "             ['hitting', '--method', 'monte-carlo', '--walks', '10',\n"
+        "              '--max-steps', '10', '--seed', '1']):\n"
+        "    assert cli.main(argv) == 0\n"
+        "    seen.append(['_hashlib' in sys.modules, 'logging' in sys.modules])\n"
+        "import json\n"
+        "print(json.dumps([bare, seen]))"
+    )
+    assert seen == [[False] * 5, [[False, False]] * 5 + [[True, False]]]
