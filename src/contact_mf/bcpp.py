@@ -48,8 +48,7 @@ class BcppField:
     """Values on a torus under the zero/add event dynamics, lazily decayed."""
 
     __slots__ = (
-        "torus", "lam", "values", "last", "time", "support",
-        "_nbrs", "_decay", "_deg", "_underflow_count",
+        "lam", "values", "last", "time", "support", "_nbrs", "_decay", "_deg", "_underflow_count",
     )
 
     def __init__(self, torus: Torus, lam: float):
@@ -57,7 +56,6 @@ class BcppField:
             raise UsageError(f"field needs a finite Torus, got {torus!r}")
         if not (lam > 0):
             raise UsageError(f"infection rate must be positive, got {lam}")
-        self.torus = torus
         self.lam = lam
         n = torus.volume
         self.values: list[float] = [1.0] * n

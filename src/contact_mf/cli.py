@@ -138,10 +138,13 @@ def _resolve(args: argparse.Namespace, section: dict) -> None:
 
 
 def _check_ranges(args: argparse.Namespace) -> None:
-    """Refuse an option outside its row's range; an unset one (None) passes."""
+    """Refuse an option outside its row's range; an unset one (None) passes.
+    A list option's range reads 'each <key>': each element must pass."""
     for flag, _, _, _, *limit in _COMMANDS[args.command][2]:
         value = getattr(args, _dest(flag[2:]))
-        if limit and value is not None and not _RANGES[limit[0]](value, args):
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if limit and value is not None and not all(
+                _RANGES[limit[0].removeprefix("each ")](v, args) for v in values):
             raise UsageError(f"{flag} must be {limit[0]}, got {value}")
 
 
@@ -432,15 +435,17 @@ def cmd_campaign(args) -> int:
 # One row per option: (flag, type or choices, default, help[, range]).  A
 # None default is worked out later (seed by _resolve, hitting and level by
 # the command) or means the option is off (out, config, kesten).  A range
-# is a key of _RANGES, shown in --help and checked by _check_ranges (NaN
-# fails every one); it may name another option of the command.  A command
-# lists only the rows it reads: seed if it draws randomness, jobs if a pool.
+# is a key of _RANGES, or 'each <key>' for a list, shown in --help and
+# checked by _check_ranges (NaN fails every one); it may name another
+# option of the command.  A command lists only the rows it reads: seed if
+# it draws randomness, jobs if a pool.
 _RANGES = {
     ">= 1": lambda v, args: v >= 1,
     "> 0": lambda v, args: v > 0,
     "> 0 and finite": lambda v, args: 0 < v < float("inf"),
     ">= 0 and finite": lambda v, args: 0 <= v < float("inf"),
     ">= 1 and < --radius": lambda v, args: 1 <= v < args.radius,
+    "even and >= 4": lambda v, args: v >= 4 and v % 2 == 0,
 }
 _SEED = ("--seed", int, None, "master seed (fallback: config, then CONTACT_MF_SEED, then 0)")
 _JOBS = ("--jobs", int, os.cpu_count() or 1, "worker processes", ">= 1")
@@ -457,8 +462,8 @@ _H_IGNORED = "ignored: H(d) is exact; kept so existing command lines and configs
 # keys, the campaign's sections and the dispatch
 _COMMANDS = {
     "survival": (cmd_survival, "survival-probability campaign over a (lambda, d) grid", [
-        ("--lambda", _comma_list(float), (2.0,), "comma-separated infection rates"),
-        ("--d", _comma_list(int), (4, 6, 8), "comma-separated dimensions"),
+        ("--lambda", _comma_list(float), (2.0,), "comma-separated infection rates", "each > 0"),
+        ("--d", _comma_list(int), (4, 6, 8), "comma-separated dimensions", "each >= 1"),
         ("--trials", int, 2000, "trials per cell", ">= 1"),
         ("--horizon", float, 200.0, "censoring time", "> 0"),
         ("--threshold", int, 500, "infected count treated as survival", ">= 1"),
@@ -472,37 +477,40 @@ _COMMANDS = {
     ] + _OUTPUT),
     "bound": (cmd_bound, "analytic survival floors for one (lambda, d)", [
         ("--lambda", float, 2.0, "infection rate"),
-        ("--d", int, 6, "dimension"),
+        ("--d", int, 6, "dimension", ">= 1"),
         ("--hitting", float, None, "override the exact H"),
         ("--set-size", int, 1, "seed-set size of the floor"),
         ("--level", int, None, "seed-set level of the combined bound (default: --set-size)"),
     ] + _OUTPUT),
     "hitting": (cmd_hitting, "walk hitting probability H(d)", [
-        ("--d", int, 3, "dimension"),
+        ("--d", int, 3, "dimension", ">= 1"),
         ("--method", ("monte-carlo", "harmonic-solve", "both"), "both", "estimator"),
         ("--walks", int, 1_000_000, "Monte Carlo walks"),
         ("--max-steps", int, 10_000, "step budget of each walk"),
         ("--radius", int, 20, "box radius of the harmonic solve"),
-        ("--kesten", _comma_list(int), None, "comma-separated dimensions for the 2dH sweep"),
+        ("--kesten", _comma_list(int), None, "comma-separated dimensions for the 2dH sweep",
+         "each >= 1"),
     ] + [_SEED, *_OUTPUT]),
     "duality": (cmd_duality, "single-site vs all-infected agreement on a torus", [
         ("--lambda", float, 1.5, "infection rate"),
-        ("--d", int, 2, "dimension"),
-        ("--torus-side", int, 8, "torus side length"),
+        ("--d", int, 2, "dimension", ">= 1"),
+        ("--torus-side", int, 8, "torus side length", "even and >= 4"),
         ("--t", float, 3.0, "time of the comparison", ">= 0 and finite"),
         ("--trials", int, 10_000, "paired trials", ">= 1"),
     ] + [_SEED, _JOBS, *_OUTPUT]),
     "bcpp-check": (cmd_bcpp_check, "support coupling and first-moment calibration", [
         ("--lambda", float, 1.5, "infection rate", "> 0"),
-        ("--d", int, 2, "dimension"),
-        ("--torus-side", int, 6, "torus side length"),
+        ("--d", int, 2, "dimension", ">= 1"),
+        ("--torus-side", int, 6, "torus side length", "even and >= 4"),
         ("--horizon", float, 5.0, "length of each coupled run", "> 0 and finite"),
-        ("--trials", int, 100, "coupled runs", ">= 1"),
-        ("--times", _comma_list(float), (0.5, 1.0, 2.0), "comma-separated checkpoint times"),
+        ("--trials", int, 100, "coupled runs, and max(2000, --trials) first-moment runs",
+         ">= 1"),
+        ("--times", _comma_list(float), (0.5, 1.0, 2.0), "comma-separated checkpoint times",
+         "each >= 0 and finite"),
     ] + [_SEED, _JOBS, *_OUTPUT]),
     "moments": (cmd_moments, "correlation evolution, stationary vector, pair bounds", [
         ("--lambda", float, 2.0, "infection rate"),
-        ("--d", int, 4, "dimension"),
+        ("--d", int, 4, "dimension", ">= 1"),
         ("--radius", int, 10, "truncation radius"),
         ("--t", float, 1.0, "evolution time", ">= 0 and finite"),
         ("--set-size", int, 3, "largest seed-set size", ">= 1 and < --radius"),

@@ -86,36 +86,13 @@ class ContactParams:
             )
 
 
-class SampleSet:
-    """Set of vertices with O(1) add and membership, and uniform choice.
+class SampleSet(list):
+    """A start that run_trial advances in place: a list of vertices, each
+    kept once, in the order first given.  Any other iterable start is only
+    read."""
 
-    The classic list-plus-index-map structure: deletion swaps the victim
-    with the last list element so the list stays dense and a uniform pick
-    is items[randrange(len)].  run_trial advances one in place, with add
-    and that deletion inlined on its int codes.
-    """
-
-    __slots__ = ("items", "_pos")
-
-    def __init__(self, iterable=()):
-        self.items: list[Vertex] = []
-        self._pos: dict[Vertex, int] = {}
-        for v in iterable:
-            self.add(v)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __contains__(self, v) -> bool:
-        return v in self._pos
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def add(self, v: Vertex) -> None:
-        if v not in self._pos:
-            self._pos[v] = len(self.items)
-            self.items.append(v)
+    def __init__(self, vertices=()):
+        list.__init__(self, dict.fromkeys(vertices))
 
 
 @dataclass(frozen=True)
@@ -147,9 +124,10 @@ def run_trial(
     This is the contact process's one event loop.  Checks, in order before
     each event: extinction, threshold reached, horizon crossed (the
     pending event would fire after the horizon, so the configuration at
-    the horizon is the pre-event one).  A SampleSet start is advanced in
-    place, wrapped on a torus; threshold math.inf runs to the horizon or
-    extinction.
+    the horizon is the pre-event one).  A SampleSet start ends holding the
+    final configuration, in the kernel's item order and wrapped on a torus;
+    any other start is only read.  Threshold math.inf runs to the horizon
+    or extinction.
     """
     if not (horizon > 0) or threshold < 1:
         raise UsageError("horizon must be positive and threshold >= 1")
@@ -201,7 +179,7 @@ def run_trial(
             while k >= d2:
                 k = bits(d2_bits)
             y = items[i] + step[k] if nbr is None else nbr[items[i] * d2 + k]
-            if y not in pos:   # SampleSet.add
+            if y not in pos:   # not yet infected
                 budget -= 1
                 if budget < 0:
                     raise NumericalError(f"additions spent: a coordinate could reach {CODE_LIMIT}")
@@ -210,8 +188,7 @@ def run_trial(
                 if n >= max_size:
                     max_size = n + 1
     if isinstance(initial, SampleSet):
-        initial.items[:] = map(decode, items)
-        initial._pos = {v: j for j, v in enumerate(initial.items)}
+        initial[:] = map(decode, items)
     if n == 0:
         return TrialOutcome(EXTINCT, t, max_size, events)
     return TrialOutcome(REACHED_THRESHOLD if n >= threshold else CENSORED, None, max_size, events)

@@ -116,7 +116,10 @@ def test_help_shows_each_range_after_its_default(capsys):
     flattened = " ".join(capsys.readouterr().out.split())
     for text in ("infection rate (default 1.5), must be > 0",
                  "length of each coupled run (default 5.0), must be > 0 and finite",
-                 "coupled runs (default 100), must be >= 1",
+                 "coupled runs, and max(2000, --trials) first-moment runs (default 100),"
+                 " must be >= 1",
+                 "torus side length (default 6), must be even and >= 4",
+                 "checkpoint times (default 0.5,1.0,2.0), must be each >= 0 and finite",
                  f"worker processes (default {os.cpu_count() or 1}), must be >= 1"):
         assert text in flattened
 
@@ -275,9 +278,8 @@ def test_survival_refuses_no_trials_before_any_walk(monkeypatch, capsys):
     ("--horizon", "-1", "--horizon must be > 0, got -1.0"),
     ("--horizon", "nan", "--horizon must be > 0, got nan"),
     ("--threshold", "0", "--threshold must be >= 1, got 0"),
-    # ContactParams takes lam = 0; the upper bound refuses it, and the
-    # bounds are computed before the header and the pool
-    ("--lambda", "0", "lambda must be positive, got 0.0"),
+    # ContactParams takes lam = 0; the option's range refuses it
+    ("--lambda", "0", "--lambda must be each > 0, got [0.0]"),
 ], ids=["horizon-negative", "horizon-nan", "threshold", "lambda-zero"])
 def test_survival_refuses_bad_trial_flags_before_any_walk(flag, value, message, monkeypatch,
                                                           capsys):
@@ -518,10 +520,14 @@ def test_campaign_refuses_jobs_below_one_before_any_section(tmp_path, capsys):
 # one out-of-range value per option row that has a range, each refused
 # before the ode section writes its file
 _OUT_OF_RANGE = {
-    "survival": ["trials = 0", "horizon = -1", "threshold = 0", "jobs = 0"],
-    "duality": ["t = inf", "trials = 0"],
-    "bcpp-check": ["lambda = 0", "horizon = 0", "trials = 0"],
-    "moments": ["t = -1", "set-size = 0"],
+    "survival": ["lambda = 0", "d = 4,0", "trials = 0", "horizon = -1", "threshold = 0",
+                 "jobs = 0"],
+    "bound": ["d = 0"],
+    "hitting": ["d = 0", "kesten = 8,0"],
+    "duality": ["d = 0", "torus-side = 3", "t = inf", "trials = 0"],
+    "bcpp-check": ["lambda = 0", "d = 0", "torus-side = 3", "horizon = 0", "trials = 0",
+                   "times = 0.5,-1"],
+    "moments": ["d = 0", "t = -1", "set-size = 0"],
 }
 
 
@@ -775,7 +781,7 @@ def test_nan_rate_or_time_exits_2(argv, monkeypatch, capsys):
     (["duality", "--lambda", "3", "--t", "inf", "--trials", "1"],
      "--t must be >= 0 and finite, got inf"),
     (_BCPP + ["--horizon", "inf"], "--horizon must be > 0 and finite, got inf"),
-    (_BCPP + ["--times", "0.5,inf"], "checkpoint times must be >= 0 and finite"),
+    (_BCPP + ["--times", "0.5,inf"], "--times must be each >= 0 and finite, got [0.5, inf]"),
     (["ode", "--t-end", "inf"], "t_end must be positive and finite"),
 ], ids=["duality-t", "bcpp-horizon", "bcpp-times", "ode-t-end"])
 def test_infinite_time_exits_2_before_any_task(argv, message, monkeypatch, capsys):
@@ -858,7 +864,7 @@ def test_pool_never_outnumbers_its_tasks(monkeypatch, capsys):
     (_DUALITY + ["--t", "-1"], "--t must be >= 0 and finite, got -1.0"),
     (_DUALITY + ["--t", "nan"], "--t must be >= 0 and finite, got nan"),
     (_DUALITY + ["--trials", "0"], "--trials must be >= 1, got 0"),
-    (_BCPP + ["--times", "-1"], "checkpoint times must be >= 0"),
+    (_BCPP + ["--times", "-1"], "--times must be each >= 0 and finite, got [-1.0]"),
     (_BCPP + ["--horizon", "0"], "--horizon must be > 0 and finite, got 0.0"),
     (_BCPP + ["--horizon", "nan"], "--horizon must be > 0 and finite, got nan"),
     (_BCPP + ["--trials", "-5"], "--trials must be >= 1, got -5"),

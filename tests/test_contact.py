@@ -34,11 +34,33 @@ from contact_mf.rng import substream
 O3 = origin(3)
 
 
-# ------------------------------------------------------------ SampleSet
+# ------------------------------------------------------------ DiscardSet
 
-class DiscardSet(SampleSet):
-    """A SampleSet that can also remove a vertex, the deletion run_trial
+class DiscardSet:
+    """The classic list-plus-index-map set that reference_trial and
+    coupled_thinning_trial mutate: O(1) add, membership and deletion, and a
+    uniform pick items[randrange(len)].  Deletion is the one run_trial
     inlines on its int codes: the last item fills the gap."""
+
+    def __init__(self, iterable=()):
+        self.items = []
+        self._pos = {}
+        for v in iterable:
+            self.add(v)
+
+    def __len__(self):
+        return len(self.items)
+
+    def __contains__(self, v):
+        return v in self._pos
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def add(self, v):
+        if v not in self._pos:
+            self._pos[v] = len(self.items)
+            self.items.append(v)
 
     def discard(self, v):
         i = self._pos.pop(v, None)
@@ -51,6 +73,7 @@ class DiscardSet(SampleSet):
 
 
 def test_sample_set_basic_ops():
+    # the reference structure: add, membership and the gap-filling discard
     s = DiscardSet([(0, 0), (1, 0)])
     assert len(s) == 2 and (0, 0) in s
     s.add((0, 0))          # duplicate add is a no-op
@@ -61,8 +84,14 @@ def test_sample_set_basic_ops():
     assert set(s) == {(1, 0)}
 
 
+def test_sample_set_keeps_the_first_copy_of_each_vertex():
+    a, b = (0, 1), (2, 3)
+    assert SampleSet([a, a, b]) == [a, b]
+    assert SampleSet(v for v in (b, a, b)) == [b, a]
+
+
 def test_sample_set_choose_is_uniform():
-    s = SampleSet([(i,) for i in range(8)])
+    s = DiscardSet([(i,) for i in range(8)])
     rng = random.Random(3)
     n = 8000
     counts = [0] * 8
@@ -120,7 +149,7 @@ def test_first_infection_picks_a_uniform_neighbor():
         state = SampleSet([O3])
         if run_trial(state, params, 100.0, 2, substream(9, "neighbor", trial)).verdict == EXTINCT:
             continue
-        y = state.items[1]
+        y = state[1]
         counts[y] = counts.get(y, 0) + 1
         n += 1
     # the 2d tuple neighbours of the origin
@@ -399,7 +428,8 @@ def test_run_to_time_zero_duration_is_identity():
 def reference_trial(initial, params, horizon, threshold, rng) -> TrialOutcome:
     """run_trial as it was on tuple vertices: the same draws in the same
     order, each infection building a neighbor tuple and every set operation
-    going through DiscardSet.  The oracle for the int-coded kernel."""
+    going through DiscardSet's list and index map.  The oracle for the
+    int-coded kernel."""
     if not (horizon > 0) or threshold < 1:
         raise UsageError("horizon must be positive and threshold >= 1")
     state = initial if isinstance(initial, DiscardSet) else DiscardSet(initial)
@@ -473,10 +503,11 @@ def test_coded_kernel_matches_the_tuple_reference(case):
     want = reference_trial(expected, params, horizon, threshold, random.Random(seed))
     state = SampleSet(start)
     assert run_trial(state, params, horizon, threshold, random.Random(seed)) == want
-    assert state.items == expected.items
-    assert state._pos == expected._pos
-    # a plain start runs the same trial
+    assert state == expected.items
+    # a plain start runs the same trial and is only read
+    before = list(start)
     assert run_trial(start, params, horizon, threshold, random.Random(seed)) == want
+    assert start == before
 
 
 @pytest.mark.parametrize("d", range(1, 11))
@@ -490,7 +521,7 @@ def test_vertex_code_round_trips_negative_coordinates(d):
     # and through run_trial's entry and exit, with no event before the horizon
     state = SampleSet(vertices)
     out = run_trial(state, ContactParams(0.0, d), 1e-300, math.inf, random.Random(0))
-    assert out.event_count == 0 and state.items == vertices
+    assert out.event_count == 0 and state == vertices
 
 
 def test_start_at_the_code_limit_is_refused():

@@ -106,7 +106,7 @@ D8 = [
     ('extinct', 0.13795743930973503, 1, 1),
 ]
 
-# (outcome, final SampleSet.items) at lam=1.5, d=3, horizon 2, threshold 40
+# (outcome, final SampleSet) at lam=1.5, d=3, horizon 2, threshold 40
 # from Z3_START, trial k on substream(0, "golden-z3", k)
 Z3_START = [(-3, 0, 2), (0, -1, -4), (-7, -7, -7), (5, -2, 0)]
 Z3 = [
@@ -122,7 +122,7 @@ Z3 = [
      []),
 ]
 
-# SampleSet.items after run_to_time(1.0) at lam=1.5 from all of Torus(2, 8),
+# The SampleSet after run_to_time(1.0) at lam=1.5 from all of Torus(2, 8),
 # on substream(0, "golden-torus", 0)
 TORUS_ITEMS = [
     (0, 0), (6, 7), (2, 3), (3, 4), (0, 4), (0, 5), (6, 5), (0, 7), (1, 0), (1, 1),
@@ -169,11 +169,11 @@ def test_negative_coordinate_starts_are_golden():
         state = SampleSet(Z3_START)
         out = run_trial(state, params, 2.0, 40, substream(0, "golden-z3", trial))
         assert (out.verdict, out.extinction_time, out.max_size, out.event_count) == outcome
-        assert state.items == items
+        assert state == items
 
 
 def test_run_to_time_item_order_is_golden():
     torus = Torus(2, 8)
     state = SampleSet(torus.vertex(i) for i in range(torus.volume))
     run_to_time(state, ContactParams(1.5, 2, torus), 1.0, substream(0, "golden-torus", 0))
-    assert state.items == TORUS_ITEMS
+    assert state == TORUS_ITEMS

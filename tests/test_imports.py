@@ -7,9 +7,9 @@ there is named by some code in src/ outside its own body, or is listed in
 KEPT with the reason it stays.  Code that only tests call belongs in the
 tests.
 
-Every result field is read: each annotated field of a class in src/ is
-read as an attribute somewhere in src/ or tests/, or UNREAD_FIELDS gives
-the reason it stays.
+Every result field is read: each annotated field of a class in src/, and
+each attribute its methods store on self, is read as an attribute
+somewhere in src/ or tests/, or UNREAD_FIELDS gives the reason it stays.
 
 Every option is read: each command's handler names each of its options as
 args.<dest>, or INERT gives the reason it stays.
@@ -147,24 +147,37 @@ UNREAD_FIELDS = {
 }
 
 
+def _fields(cls: ast.ClassDef) -> set[str]:
+    """The annotated fields of a class body, and the attributes its
+    methods store on self."""
+    annotated = {item.target.id for item in cls.body
+                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)}
+    stored = {node.attr for node in ast.walk(cls)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    return annotated | stored
+
+
 def unread_fields(class_sources: dict[str, str], readers: list[str]) -> list[str]:
-    """'module.Class.field' of each annotated field of a top-level class in
-    class_sources that no reader reads as an attribute.  By name only: a
-    read of the same name on any object counts; a store does not."""
+    """'module.Class.field' of each field of a top-level class in
+    class_sources, annotated or stored on self, that no reader reads as an
+    attribute.  By name only: a read of the same name on any object
+    counts; a store does not."""
     reads = {node.attr for text in readers for node in ast.walk(ast.parse(text))
              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    return sorted(f"{module}.{node.name}.{item.target.id}"
+    return sorted(f"{module}.{node.name}.{field}"
                   for module, text in class_sources.items()
                   for node in ast.parse(text).body if isinstance(node, ast.ClassDef)
-                  for item in node.body
-                  if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-                  and item.target.id not in reads)
+                  for field in _fields(node) - reads)
 
 
 def test_checker_flags_fields_never_read_as_attributes():
     sources = {"a": "class R:\n    x: int\n    y: int = 0\n    z: int\n    w = 1\n"
-                    "def f(r):\n    r.z = 1\n    return r.x\n"}
-    assert unread_fields(sources, [*sources.values(), "print(R(1, 2, 3).y)"]) == ["a.R.z"]
+                    "def f(r):\n    r.z = 1\n    return r.x\n"
+                    "class S:\n    def __init__(self, o):\n        self.kept = self.gone = 1\n"
+                    "        o.other = 2\n    def get(self):\n        return self.kept\n"}
+    assert unread_fields(sources, [*sources.values(), "print(R(1, 2, 3).y)"]) == [
+        "a.R.z", "a.S.gone"]
 
 
 def test_every_result_field_is_read():

@@ -1,5 +1,6 @@
-"""Property tests for SampleSet, the state the contact kernel and the tests'
-reference_trial mutate, with the deletion the kernel inlines."""
+"""Property tests for DiscardSet, the list-plus-index-map state that the
+tests' reference_trial mutates, with the deletion the contact kernel
+inlines on its int codes."""
 
 import random
 
